@@ -10,7 +10,13 @@
 //! a [`SeqBody`] (the unified body trait), and a linear regression head
 //! reading the final state. Training routes every variant through one
 //! generic loop over `&mut dyn SeqBody`, with all intermediates held in a
-//! recycled [`Workspace`] so the epoch loop never allocates.
+//! recycled [`Workspace`] so the per-window path never allocates.
+//!
+//! Each minibatch is split into [`GRAD_SHARDS`] contiguous shards whose
+//! gradients are computed in parallel on model replicas, then summed into
+//! the master parameters in shard order before one optimizer step. The
+//! shard count is a constant, so the float sums, and with them the trained
+//! weights, are bit-identical at any thread count.
 
 use crate::dense::{Activation, Dense};
 use crate::gru::GruCell;
@@ -24,6 +30,7 @@ use crate::workspace::{AttentionGruBody, SeqBody, Workspace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Which sequence body to use.
@@ -242,6 +249,10 @@ impl SequenceRegressor {
 
     /// Train on `(window, next_value)` pairs with RMSProp, returning the
     /// loss trajectory.
+    ///
+    /// Every minibatch fans out over [`GRAD_SHARDS`] gradient shards on the
+    /// rayon seam; the shard gradients are then summed in shard order, so
+    /// the result does not depend on the thread count.
     pub fn train(&mut self, windows: &[Vec<f64>], targets: &[f64]) -> TrainStats {
         assert_eq!(windows.len(), targets.len(), "windows/targets mismatch");
         assert!(!windows.is_empty(), "cannot train on an empty dataset");
@@ -254,27 +265,34 @@ impl SequenceRegressor {
         let _train_span = stpt_obs::span!("nn.train");
         let mut opt = RmsProp::new(self.config.lr, 0.99);
         let mut epoch_losses = Vec::with_capacity(self.config.epochs);
-        let mut ws = Workspace::new();
+        let mut shards: Vec<Shard> = (0..GRAD_SHARDS)
+            .map(|index| Shard {
+                index,
+                model: self.clone(),
+                ws: Workspace::new(),
+                loss: 0.0,
+            })
+            .collect();
         let started = std::time::Instant::now();
         // Workspace buffers grow to their steady-state sizes during the
-        // first minibatch; after that the loop below is allocation-free.
+        // first minibatch; after that the per-window path is
+        // allocation-free (the per-minibatch fan-out is not).
         // hot-path:begin
         for _epoch in 0..self.config.epochs {
             indices.shuffle(&mut rng);
             let mut epoch_loss = 0.0;
             let mut batches = 0.0;
             for chunk in indices.chunks(self.config.batch_size) {
-                self.zero_grad();
-                let mut batch_loss = 0.0;
-                for &i in chunk {
-                    batch_loss +=
-                        self.accumulate_sample(&mut ws, &windows[i], targets[i], chunk.len());
-                }
+                shards
+                    .par_iter_mut()
+                    .for_each(|shard| shard.accumulate(chunk, windows, targets));
+                let batch_loss = self.reduce_shards(&mut shards);
                 self.clip_grads(self.config.grad_clip);
                 if stpt_obs::enabled() {
                     TRAIN_GRAD_NORM.observe(self.grad_l2_norm());
                 }
                 opt.step(self);
+                self.sync_weights(&mut shards);
                 epoch_loss += batch_loss / chunk.len() as f64;
                 batches += 1.0;
             }
@@ -330,8 +348,67 @@ impl SequenceRegressor {
             .backward_into(&mut ws.embed, &ws.dtokens, &mut ws.dembed_x);
         loss
     }
-    // hot-path:end
+
+    /// Set the master gradients to the sum of the shard gradients, added in
+    /// shard order; returns the minibatch's summed loss, in the same order.
+    fn reduce_shards(&mut self, shards: &mut [Shard]) -> f64 {
+        let mut master = self.params_mut();
+        for p in master.iter_mut() {
+            p.zero_grad();
+        }
+        let mut loss = 0.0;
+        for shard in shards.iter_mut() {
+            for (dst, src) in master.iter_mut().zip(shard.model.params_mut()) {
+                dst.grad.add_assign(&src.grad);
+            }
+            loss += shard.loss;
+        }
+        loss
+    }
+
+    /// Copy the master weights into every shard replica after a step.
+    fn sync_weights(&mut self, shards: &mut [Shard]) {
+        let master = self.params_mut();
+        for shard in shards.iter_mut() {
+            for (dst, src) in shard.model.params_mut().into_iter().zip(&master) {
+                dst.value.copy_from(&src.value);
+            }
+        }
+    }
 }
+
+/// Gradient shards per minibatch. A constant, not a knob and not the
+/// thread count: the shard boundaries fix the order of every gradient and
+/// loss sum, so training is bit-identical at any `STPT_THREADS`.
+pub const GRAD_SHARDS: usize = 4;
+
+/// One gradient shard's state, built once per `train` call: a model
+/// replica whose `Param::grad`s collect the shard's gradient, its own
+/// scratch arena, and the summed loss of its windows.
+struct Shard {
+    index: usize,
+    model: SequenceRegressor,
+    ws: Workspace,
+    loss: f64,
+}
+
+impl Shard {
+    /// Forward + backward over this shard's contiguous slice of `chunk`,
+    /// starting from zeroed gradients. A shard of a minibatch shorter than
+    /// [`GRAD_SHARDS`] may be empty.
+    fn accumulate(&mut self, chunk: &[usize], windows: &[Vec<f64>], targets: &[f64]) {
+        let lo = chunk.len() * self.index / GRAD_SHARDS;
+        let hi = chunk.len() * (self.index + 1) / GRAD_SHARDS;
+        self.model.zero_grad();
+        self.loss = 0.0;
+        for &i in &chunk[lo..hi] {
+            self.loss +=
+                self.model
+                    .accumulate_sample(&mut self.ws, &windows[i], targets[i], chunk.len());
+        }
+    }
+}
+// hot-path:end
 
 impl Parameterized for SequenceRegressor {
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -515,6 +592,53 @@ mod tests {
                     model.predict_with(&mut ws, w),
                     model.predict(w),
                     "{kind:?}: dirty-workspace prediction diverged"
+                );
+            }
+        }
+    }
+
+    /// Thread-count override restored even if an assertion fails.
+    struct ResetThreads;
+    impl Drop for ResetThreads {
+        fn drop(&mut self) {
+            rayon::set_num_threads(0);
+        }
+    }
+
+    #[test]
+    fn training_is_bit_identical_at_one_and_four_threads() {
+        let _reset = ResetThreads;
+        // 50 windows: at batch 16 the final minibatch holds 2 windows, fewer
+        // than GRAD_SHARDS, so two of its shards are empty; at batch 3 every
+        // minibatch is smaller than the shard count.
+        let series = vec![sine_series(56)];
+        let (windows, targets) = make_windows(&series, 6);
+        assert_eq!(windows.len(), 50);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for kind in [
+            ModelKind::Rnn,
+            ModelKind::Gru,
+            ModelKind::Lstm,
+            ModelKind::Transformer,
+            ModelKind::AttentionGru,
+        ] {
+            for batch_size in [16, 3] {
+                let run = |threads: usize| {
+                    rayon::set_num_threads(threads);
+                    let mut cfg = tiny_config(kind);
+                    cfg.epochs = 3;
+                    cfg.batch_size = batch_size;
+                    let mut model = SequenceRegressor::new(cfg);
+                    let stats = model.train(&windows, &targets);
+                    (
+                        bits(&stats.epoch_losses),
+                        bits(&model.predict_batch(&windows)),
+                    )
+                };
+                assert_eq!(
+                    run(1),
+                    run(4),
+                    "{kind:?}, batch {batch_size}: training depends on the thread count"
                 );
             }
         }

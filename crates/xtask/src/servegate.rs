@@ -102,7 +102,7 @@ fn zero_spend_check(doc: &Value) -> CheckResult {
         }
         Err(e) => return row("zero-spend", note, fail_missing(e)),
     };
-    if verified && spent.to_bits() == 0.0f64.to_bits() {
+    if verified && spent.to_bits() == 0 {
         row("zero-spend", note, Outcome::Pass)
     } else {
         row(

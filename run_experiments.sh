@@ -16,8 +16,8 @@ echo "=== scale: reps=${STPT_REPS:-3} queries=${STPT_QUERIES:-300}" \
      "postprocess=${STPT_POSTPROCESS:-0}" \
      "trace=${STPT_TRACE:-0} trace_events=${STPT_TRACE_EVENTS:-0} ==="
 
-# The workspace root is a package of its own, so a bare `cargo build` would
-# skip the bench binaries: name them explicitly.
+# Build only what the experiments run (a bare `cargo build` builds every
+# default member of the workspace).
 cargo build --release -p stpt-bench -p xtask
 
 mkdir -p results/logs

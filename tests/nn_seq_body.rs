@@ -3,10 +3,10 @@
 //! 1. Every body implementor (RNN, GRU, LSTM, transformer, attention+GRU)
 //!    passes a finite-difference gradient check through the `Workspace`
 //!    interface it is trained with.
-//! 2. Training through the workspace-recycling generic loop is
-//!    bitwise-deterministic, pinned to final-loss values recorded before
-//!    the allocation-free refactor — any change to floating-point
-//!    operation order in the kernels or the training loop trips this.
+//! 2. Training through the workspace-recycling, gradient-sharded generic
+//!    loop is bitwise-deterministic, pinned to recorded final-loss values —
+//!    any change to floating-point operation order in the kernels or the
+//!    training loop trips this.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,9 +60,14 @@ fn attention_gru_body_passes_gradcheck() {
 }
 
 /// Final epoch loss of `NetConfig::fast(kind)` on a fixed sine series,
-/// recorded (as exact f64 bit patterns) from the pre-refactor per-variant
-/// training scaffolds. The workspace-based generic loop must reproduce
-/// them bit for bit.
+/// recorded as exact f64 bit patterns. The generic loop must reproduce
+/// them bit for bit, at any thread count.
+///
+/// Re-pinned once when minibatches became data-parallel: each minibatch's
+/// gradient and loss are now summed per gradient shard (`GRAD_SHARDS`
+/// contiguous shards), then across shards in fixed shard order, instead of
+/// window by window. Float addition is not associative, so the last few
+/// bits of every kind's loss moved; nothing else did.
 #[test]
 fn fast_config_training_matches_recorded_losses_bitwise() {
     let series: Vec<f64> = (0..150)
@@ -70,11 +75,11 @@ fn fast_config_training_matches_recorded_losses_bitwise() {
         .collect();
     let (windows, targets) = make_windows(&[series], 6);
     let recorded: [(ModelKind, u64); 5] = [
-        (ModelKind::Rnn, 0x3f3e_7eb0_aad0_6d5e),
-        (ModelKind::Gru, 0x3f5f_a181_0d59_3852),
-        (ModelKind::Lstm, 0x3f39_2443_0318_b3b3),
-        (ModelKind::Transformer, 0x3f95_5011_e3be_1725),
-        (ModelKind::AttentionGru, 0x3fb7_4722_55cd_46eb),
+        (ModelKind::Rnn, 0x3f3e_7eb0_aad0_6d7a),
+        (ModelKind::Gru, 0x3f5f_a181_0d59_37cb),
+        (ModelKind::Lstm, 0x3f39_2443_0318_b3d2),
+        (ModelKind::Transformer, 0x3f95_5011_e3be_1710),
+        (ModelKind::AttentionGru, 0x3fb7_4722_55cd_46ed),
     ];
     for (kind, bits) in recorded {
         let mut model = SequenceRegressor::new(NetConfig::fast(kind));
