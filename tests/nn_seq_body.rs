@@ -93,3 +93,27 @@ fn fast_config_training_matches_recorded_losses_bitwise() {
         );
     }
 }
+
+/// Both epoch losses of the paper's network (`NetConfig::paper_default`,
+/// attention 128 wide, GRU 64 wide) over 100 windows, recorded as exact
+/// f64 bit patterns. The fast-config pin above uses only 32-wide layers;
+/// this one runs every product kernel at the widths a release trains with,
+/// and the last minibatch is a partial one (100 = 3·32 + 4).
+#[test]
+fn paper_network_training_matches_recorded_losses_bitwise() {
+    let series: Vec<f64> = (0..106)
+        .map(|i| (i as f64 * 0.3).sin() * 0.5 + 0.5)
+        .collect();
+    let (windows, targets) = make_windows(&[series], 6);
+    let mut cfg = NetConfig::paper_default(ModelKind::AttentionGru);
+    cfg.epochs = 2;
+    let mut model = SequenceRegressor::new(cfg);
+    let stats = model.train(&windows, &targets);
+    let bits: Vec<u64> = stats.epoch_losses.iter().map(|l| l.to_bits()).collect();
+    assert_eq!(
+        bits,
+        [0x3fea_ffd7_628b_3dc2, 0x3fba_ee65_2fcb_d292],
+        "paper network epoch losses {:?} drifted from the recorded values",
+        stats.epoch_losses
+    );
+}
