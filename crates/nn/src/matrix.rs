@@ -1,12 +1,17 @@
 //! A small dense row-major `f64` matrix.
 //!
-//! The networks in this repository are tiny (hidden dims ≤ 128, batch ≤ 64),
-//! so a straightforward contiguous implementation with an ikj matmul loop is
-//! fast enough and keeps the crate dependency-free and deterministic.
+//! The networks in this repository are small (widths ≤ 128, windows of 6
+//! tokens), so the product kernels are plain safe Rust with no BLAS. They
+//! are register-blocked: each holds a block of output cells in a stack-array
+//! accumulator, which the compiler keeps in registers, while it streams the
+//! shared operand once per block. Blocking only changes which output cells
+//! are computed together. Every cell keeps the operations of a
+//! one-accumulator loop: the same start value, ascending term order and
+//! exact-zero skip. So results are bit-identical to the naive kernels
+//! (`DESIGN.md` §9).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 use std::ops::{Index, IndexMut};
 
 /// True iff `x` is exactly `±0.0` at the bit level — the intent-revealing
@@ -18,37 +23,132 @@ fn is_exact_zero(x: f64) -> bool {
     x.to_bits() << 1 == 0
 }
 
-/// A shape incompatibility between two matrix operands.
-///
-/// Returned by the checked `try_*_into` kernel entry points; the panicking
-/// operators route the same condition through [`assert_shape`] so every
-/// shape diagnostic in the crate carries one consistent message format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShapeError {
-    /// Operation that rejected the operands (e.g. `"matmul"`).
-    pub op: &'static str,
-    /// Left operand shape.
-    pub lhs: (usize, usize),
-    /// Right operand shape.
-    pub rhs: (usize, usize),
-}
-
-impl fmt::Display for ShapeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} shape mismatch: {:?} vs {:?}",
-            self.op, self.lhs, self.rhs
-        )
-    }
-}
-
 /// The single choke point for every panicking shape check in this module:
 /// all operators funnel through here so the message format stays uniform.
 #[track_caller]
 #[inline]
 fn assert_shape(ok: bool, op: &'static str, lhs: (usize, usize), rhs: (usize, usize)) {
-    assert!(ok, "{}", ShapeError { op, lhs, rhs });
+    assert!(ok, "{op} shape mismatch: {lhs:?} vs {rhs:?}");
+}
+
+/// Output columns an `A·B` or `Aᵀ·B` kernel holds in registers at once.
+const COL_BLOCK: usize = 16;
+
+/// Block epilogue that writes each cell's sum.
+fn set(cell: &mut f64, sum: f64) {
+    *cell = sum;
+}
+
+/// Block epilogue that adds each cell's sum with a single `+=`.
+fn add(cell: &mut f64, sum: f64) {
+    *cell += sum;
+}
+
+/// `W` sums `Σ_k c_k · b[k·n + col + j]`, `j < W`, over the coefficients
+/// `c` (a row of `A` for `A·B`, a column of `A` for `Aᵀ·B`), skipping
+/// exact-zero coefficients. Each lane starts at `+0.0` and adds its terms in
+/// ascending `k`, exactly as a one-accumulator loop over that cell would.
+#[inline(always)]
+fn axpy_block<const W: usize>(
+    coeffs: impl Iterator<Item = f64>,
+    b: &[f64],
+    n: usize,
+    col: usize,
+) -> [f64; W] {
+    let mut acc = [0.0; W];
+    for (k, c) in coeffs.enumerate() {
+        if is_exact_zero(c) {
+            continue;
+        }
+        for (ac, &bv) in acc.iter_mut().zip(&b[k * n + col..][..W]) {
+            *ac += c * bv;
+        }
+    }
+    acc
+}
+
+/// One output row of `A·B` or `Aᵀ·B`: `out[j] = Σ_k c_k · b[k, j]`, stored
+/// through `finish`, [`COL_BLOCK`] columns per block and the remainder one
+/// at a time.
+fn axpy_row(
+    coeffs: impl Iterator<Item = f64> + Clone,
+    b: &Matrix,
+    out: &mut [f64],
+    finish: impl Fn(&mut f64, f64) + Copy,
+) {
+    let (blocks, tail) = out.as_chunks_mut::<COL_BLOCK>();
+    let tail_col = blocks.len() * COL_BLOCK;
+    for (jb, cells) in blocks.iter_mut().enumerate() {
+        let sums = axpy_block::<COL_BLOCK>(coeffs.clone(), &b.data, b.cols, jb * COL_BLOCK);
+        cells.iter_mut().zip(sums).for_each(|(o, s)| finish(o, s));
+    }
+    for (j, cell) in tail.iter_mut().enumerate() {
+        let [sum] = axpy_block::<1>(coeffs.clone(), &b.data, b.cols, tail_col + j);
+        finish(cell, sum);
+    }
+}
+
+/// `I × R` dot products: rows `i0..i0 + I` of `a` with rows `j0..j0 + R` of
+/// `b`, each summed from `+0.0` in ascending `k`. The `I·R` sums are
+/// independent add chains, which the CPU overlaps where one serial chain
+/// per cell would wait on every add, and each load of `a` or `b` feeds
+/// several of them.
+#[inline(always)]
+fn dot_block<const I: usize, const R: usize>(
+    a: &Matrix,
+    i0: usize,
+    b: &Matrix,
+    j0: usize,
+) -> [[f64; R]; I] {
+    let k = a.cols;
+    let arows: [&[f64]; I] = std::array::from_fn(|i| &a.data[(i0 + i) * k..][..k]);
+    let brows: [&[f64]; R] = std::array::from_fn(|r| &b.data[(j0 + r) * k..][..k]);
+    let mut acc = [[0.0; R]; I];
+    for kk in 0..k {
+        for (acc_i, arow) in acc.iter_mut().zip(&arows) {
+            for (ac, brow) in acc_i.iter_mut().zip(&brows) {
+                *ac += arow[kk] * brow[kk];
+            }
+        }
+    }
+    acc
+}
+
+/// Rows `i0..i0 + I` of `out = a · bᵀ`, stored through `finish`: `R` rows
+/// of `b` per block and the remainder one at a time.
+fn dot_rows<const I: usize, const R: usize>(
+    a: &Matrix,
+    i0: usize,
+    b: &Matrix,
+    out: &mut [f64],
+    finish: impl Fn(&mut f64, f64) + Copy,
+) {
+    let n = b.rows;
+    let full = n - n % R;
+    for j0 in (0..full).step_by(R) {
+        for (i, sums) in dot_block::<I, R>(a, i0, b, j0).iter().enumerate() {
+            let cells = &mut out[(i0 + i) * n + j0..][..R];
+            cells.iter_mut().zip(sums).for_each(|(o, &s)| finish(o, s));
+        }
+    }
+    for j in full..n {
+        for (i, &[s]) in dot_block::<I, 1>(a, i0, b, j).iter().enumerate() {
+            finish(&mut out[(i0 + i) * n + j], s);
+        }
+    }
+}
+
+/// `out = a · bᵀ`, stored through `finish`: pairs of `a` rows against 4
+/// rows of `b` at a time, and the last row of an odd-height `a` (so the
+/// only row of a one-row `a`) against 8, so each block runs 8 add chains.
+fn dot_all(a: &Matrix, b: &Matrix, out: &mut [f64], finish: impl Fn(&mut f64, f64) + Copy) {
+    let pairs = a.rows - a.rows % 2;
+    for i0 in (0..pairs).step_by(2) {
+        dot_rows::<2, 4>(a, i0, b, out, finish);
+    }
+    if pairs < a.rows {
+        dot_rows::<1, 8>(a, pairs, b, out, finish);
+    }
 }
 
 /// Grow a per-timestep buffer list to at least `n` entries (never shrinks,
@@ -220,7 +320,7 @@ impl Matrix {
         self.row_mut(r).copy_from_slice(src);
     }
 
-    /// Matrix product `self · other` (ikj loop order for cache friendliness).
+    /// Matrix product `self · other`.
     #[must_use]
     #[track_caller]
     pub fn matmul(&self, other: &Matrix) -> Matrix {
@@ -238,37 +338,9 @@ impl Matrix {
             self.shape(),
             other.shape(),
         );
-        self.matmul_raw(other, out);
-    }
-
-    /// Checked matrix product into `out`; `Err` on incompatible operands.
-    pub fn try_matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), ShapeError> {
-        if self.cols != other.rows {
-            return Err(ShapeError {
-                op: "matmul",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        self.matmul_raw(other, out);
-        Ok(())
-    }
-
-    fn matmul_raw(&self, other: &Matrix, out: &mut Matrix) {
         out.resize(self.rows, other.cols);
-        out.zero_out();
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if is_exact_zero(a) {
-                    continue;
-                }
-                let orow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(orow) {
-                    *o += a * b;
-                }
-            }
+            axpy_row(self.row(i).iter().copied(), other, out.row_mut(i), set);
         }
     }
 
@@ -290,39 +362,8 @@ impl Matrix {
             self.shape(),
             other.shape(),
         );
-        self.matmul_transpose_raw(other, out);
-    }
-
-    /// Checked `self · otherᵀ` into `out`; `Err` on incompatible operands.
-    pub fn try_matmul_transpose_into(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-    ) -> Result<(), ShapeError> {
-        if self.cols != other.cols {
-            return Err(ShapeError {
-                op: "matmul_transpose",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        self.matmul_transpose_raw(other, out);
-        Ok(())
-    }
-
-    fn matmul_transpose_raw(&self, other: &Matrix, out: &mut Matrix) {
         out.resize(self.rows, other.rows);
-        for i in 0..self.rows {
-            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..other.rows {
-                let brow = &other.data[j * other.cols..(j + 1) * other.cols];
-                let mut acc = 0.0;
-                for (&a, &b) in arow.iter().zip(brow) {
-                    acc += a * b;
-                }
-                out.data[i * other.rows + j] = acc;
-            }
-        }
+        dot_all(self, other, &mut out.data, set);
     }
 
     /// `selfᵀ · other` without materialising the transpose.
@@ -343,42 +384,15 @@ impl Matrix {
             self.shape(),
             other.shape(),
         );
-        self.transpose_matmul_raw(other, out);
-    }
-
-    /// Checked `selfᵀ · other` into `out`; `Err` on incompatible operands.
-    pub fn try_transpose_matmul_into(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-    ) -> Result<(), ShapeError> {
-        if self.rows != other.rows {
-            return Err(ShapeError {
-                op: "transpose_matmul",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        self.transpose_matmul_raw(other, out);
-        Ok(())
-    }
-
-    fn transpose_matmul_raw(&self, other: &Matrix, out: &mut Matrix) {
         out.resize(self.cols, other.cols);
-        out.zero_out();
-        for k in 0..self.rows {
-            let arow = &self.data[k * self.cols..(k + 1) * self.cols];
-            let brow = &other.data[k * other.cols..(k + 1) * other.cols];
-            for (i, &a) in arow.iter().enumerate() {
-                if is_exact_zero(a) {
-                    continue;
-                }
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
+        for i in 0..self.cols {
+            axpy_row(self.column(i), other, out.row_mut(i), set);
         }
+    }
+
+    /// Column `c`, top to bottom.
+    fn column(&self, c: usize) -> impl Iterator<Item = f64> + Clone + '_ {
+        self.data.iter().skip(c).step_by(self.cols).copied()
     }
 
     /// Transposed copy.
@@ -390,36 +404,6 @@ impl Matrix {
                 out.data[j * self.rows + i] = self.data[i * self.cols + j];
             }
         }
-        out
-    }
-
-    /// Element-wise sum.
-    #[must_use]
-    #[track_caller]
-    pub fn add(&self, other: &Matrix) -> Matrix {
-        self.zip_with(other, |a, b| a + b)
-    }
-
-    /// Element-wise difference.
-    #[must_use]
-    #[track_caller]
-    pub fn sub(&self, other: &Matrix) -> Matrix {
-        self.zip_with(other, |a, b| a - b)
-    }
-
-    /// Element-wise (Hadamard) product.
-    #[must_use]
-    #[track_caller]
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        self.zip_with(other, |a, b| a * b)
-    }
-
-    /// Element-wise combination with `f`.
-    #[must_use]
-    #[track_caller]
-    pub fn zip_with(&self, other: &Matrix, f: impl Fn(f64, f64) -> f64) -> Matrix {
-        let mut out = Matrix::default();
-        self.zip_with_into(other, f, &mut out);
         out
     }
 
@@ -468,8 +452,7 @@ impl Matrix {
     }
 
     /// In-place fused Hadamard accumulate `self += a ⊙ b`, without a
-    /// temporary. Per-cell arithmetic matches `hadamard` + `add_assign`
-    /// bitwise (one product, one add either way).
+    /// temporary: one product and one add per cell.
     #[track_caller]
     pub fn add_assign_product(&mut self, a: &Matrix, b: &Matrix) {
         assert_shape(
@@ -521,33 +504,8 @@ impl Matrix {
                 }
             }
         } else {
-            // k-outer over a stack block of output columns: contiguous,
-            // vectorizable inner loops, zero-check hoisted out of them. Each
-            // acc cell still sums its terms in k-ascending order (with the
-            // same exact-zero skip), so per-cell rounding matches the
-            // unfused `transpose_matmul_into` + `add_assign` path.
-            const BLOCK: usize = 64;
             for i in 0..a.cols {
-                let mut jb = 0;
-                while jb < b.cols {
-                    let jw = (b.cols - jb).min(BLOCK);
-                    let mut acc = [0.0f64; BLOCK];
-                    for k in 0..a.rows {
-                        let av = a.data[k * a.cols + i];
-                        if is_exact_zero(av) {
-                            continue;
-                        }
-                        let brow = &b.data[k * b.cols + jb..k * b.cols + jb + jw];
-                        for (ac, &bv) in acc[..jw].iter_mut().zip(brow) {
-                            *ac += av * bv;
-                        }
-                    }
-                    let out = &mut self.data[i * b.cols + jb..i * b.cols + jb + jw];
-                    for (o, &ac) in out.iter_mut().zip(&acc[..jw]) {
-                        *o += ac;
-                    }
-                    jb += jw;
-                }
+                axpy_row(a.column(i), b, self.row_mut(i), add);
             }
         }
     }
@@ -572,25 +530,13 @@ impl Matrix {
             self.shape(),
             (a.rows, b.rows),
         );
-        for i in 0..a.rows {
-            let arow = &a.data[i * a.cols..(i + 1) * a.cols];
-            for j in 0..b.rows {
-                let brow = &b.data[j * b.cols..(j + 1) * b.cols];
-                let mut acc = 0.0;
-                for (&av, &bv) in arow.iter().zip(brow) {
-                    acc += av * bv;
-                }
-                self.data[i * b.rows + j] += acc;
-            }
-        }
+        dot_all(a, b, &mut self.data, add);
     }
 
     /// Fused bias-gradient accumulate: `self += column sums of src`.
     ///
-    /// Column sums accumulate from zero in row order exactly as in
-    /// [`Self::sum_rows_into`], then land in `self` with a single `+=` —
-    /// bitwise identical to the temp-then-`add_assign` sequence it
-    /// replaces.
+    /// Each column sum accumulates from zero in row order, then lands in
+    /// `self` with a single `+=`.
     #[track_caller]
     pub fn add_sum_rows(&mut self, src: &Matrix) {
         assert_shape(
@@ -608,15 +554,6 @@ impl Matrix {
         }
     }
 
-    /// Add a 1×cols row vector to every row (broadcast bias add).
-    #[must_use]
-    #[track_caller]
-    pub fn add_row_broadcast(&self, bias: &Matrix) -> Matrix {
-        let mut out = self.clone();
-        out.add_row_assign(bias);
-        out
-    }
-
     /// In-place broadcast bias add: `self[r] += bias` for every row.
     #[track_caller]
     pub fn add_row_assign(&mut self, bias: &Matrix) {
@@ -630,26 +567,6 @@ impl Matrix {
             let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
             for (o, &b) in row.iter_mut().zip(&bias.data) {
                 *o += b;
-            }
-        }
-    }
-
-    /// Column-wise sum, returning a 1×cols row vector (bias gradient).
-    #[must_use]
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::default();
-        self.sum_rows_into(&mut out);
-        out
-    }
-
-    /// Column-wise sum written into `out` as a 1×cols row vector.
-    pub fn sum_rows_into(&self, out: &mut Matrix) {
-        out.resize(1, self.cols);
-        out.zero_out();
-        for r in 0..self.rows {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (o, &v) in out.data.iter_mut().zip(row) {
-                *o += v;
             }
         }
     }
@@ -699,30 +616,6 @@ impl Matrix {
         for x in &mut self.data {
             *x = x.clamp(-c, c);
         }
-    }
-
-    /// Concatenate horizontally: `[self | other]`.
-    #[must_use]
-    #[track_caller]
-    pub fn hcat(&self, other: &Matrix) -> Matrix {
-        assert_shape(self.rows == other.rows, "hcat", self.shape(), other.shape());
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            out.data[r * out.cols..r * out.cols + self.cols].copy_from_slice(self.row(r));
-            out.data[r * out.cols + self.cols..(r + 1) * out.cols].copy_from_slice(other.row(r));
-        }
-        out
-    }
-
-    /// Extract columns `[from, to)`.
-    #[must_use]
-    pub fn columns(&self, from: usize, to: usize) -> Matrix {
-        assert!(from <= to && to <= self.cols, "column range out of bounds");
-        let mut out = Matrix::zeros(self.rows, to - from);
-        for r in 0..self.rows {
-            out.row_mut(r).copy_from_slice(&self.row(r)[from..to]);
-        }
-        out
     }
 
     /// Softmax over each row.
@@ -824,12 +717,15 @@ mod tests {
 
     #[test]
     fn broadcast_bias_and_sum_rows_are_adjoint() {
-        // sum_rows is the gradient of add_row_broadcast wrt the bias.
+        // add_sum_rows accumulates the gradient of add_row_assign wrt the
+        // bias.
         let x = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = Matrix::from_rows(&[vec![10.0, 20.0]]);
-        let y = x.add_row_broadcast(&b);
+        let mut y = x.clone();
+        y.add_row_assign(&Matrix::from_rows(&[vec![10.0, 20.0]]));
         assert_eq!(y, Matrix::from_rows(&[vec![11.0, 22.0], vec![13.0, 24.0]]));
-        assert_eq!(x.sum_rows(), Matrix::from_rows(&[vec![4.0, 6.0]]));
+        let mut grad = Matrix::zeros(1, 2);
+        grad.add_sum_rows(&x);
+        assert_eq!(grad, Matrix::from_rows(&[vec![4.0, 6.0]]));
     }
 
     #[test]
@@ -852,16 +748,6 @@ mod tests {
         for (a, b) in s.data().iter().zip(y.data()) {
             assert!((a - b).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn hcat_and_columns_roundtrip() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = Matrix::from_rows(&[vec![5.0], vec![6.0]]);
-        let c = a.hcat(&b);
-        assert_eq!(c.shape(), (2, 3));
-        assert_eq!(c.columns(0, 2), a);
-        assert_eq!(c.columns(2, 3), b);
     }
 
     #[test]
@@ -909,13 +795,6 @@ mod tests {
 
         a.map_into(|x| x * 2.0 + 1.0, &mut out);
         assert_eq!(out, a.map(|x| x * 2.0 + 1.0));
-
-        let e = Matrix::xavier(4, 5, &mut rng);
-        a.zip_with_into(&e, |x, y| x - y, &mut out);
-        assert_eq!(out, a.sub(&e));
-
-        a.sum_rows_into(&mut out);
-        assert_eq!(out, a.sum_rows());
     }
 
     #[test]
@@ -928,24 +807,6 @@ mod tests {
         let mut stale = Matrix::full(9, 2, 42.0);
         a.matmul_into(&b, &mut stale);
         assert_eq!(stale, a.matmul(&b));
-    }
-
-    #[test]
-    fn try_kernels_report_shape_errors() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        let mut out = Matrix::default();
-        let err = a.try_matmul_into(&b, &mut out).unwrap_err();
-        assert_eq!(err.op, "matmul");
-        assert_eq!((err.lhs, err.rhs), ((2, 3), (2, 3)));
-        assert!(err.to_string().contains("shape mismatch"));
-
-        let c = Matrix::zeros(2, 4);
-        assert!(a.try_matmul_transpose_into(&c, &mut out).is_err());
-        let d = Matrix::zeros(3, 4);
-        assert!(a.try_transpose_matmul_into(&d, &mut out).is_err());
-        // Compatible operands succeed.
-        assert!(a.try_matmul_transpose_into(&b, &mut out).is_ok());
     }
 
     #[test]
@@ -1021,8 +882,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(43);
         let src = Matrix::xavier(6, 4, &mut rng);
         let acc0 = Matrix::xavier(1, 4, &mut rng);
-        let mut tmp = Matrix::default();
-        src.sum_rows_into(&mut tmp);
+        // 1·x is exact, so a row of ones times `src` sums each column from
+        // zero in row order.
+        let mut tmp = Matrix::full(1, 6, 1.0).matmul(&src);
         let mut want = acc0.clone();
         want.add_assign(&tmp);
         let mut got = acc0.clone();
@@ -1069,5 +931,103 @@ mod tests {
         let b = Matrix::zeros(2, 4);
         let mut out = Matrix::zeros(3, 5); // should be 3x4
         out.add_transpose_matmul(&a, &b);
+    }
+
+    /// `rows × cols` Xavier entries with an exact `±0.0` at every fifth.
+    fn with_zeros(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+        let mut m = Matrix::xavier(rows, cols, rng);
+        for (i, x) in m.data.iter_mut().enumerate().step_by(5) {
+            *x = if i % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        m
+    }
+
+    /// `rows × cols` matrix holding `cell(i, j)` at `(i, j)`.
+    fn build(rows: usize, cols: usize, cell: impl Fn(usize, usize) -> f64) -> Matrix {
+        let data = (0..rows * cols).map(|c| cell(c / cols, c % cols));
+        Matrix::from_vec(rows, cols, data.collect())
+    }
+
+    /// The one-accumulator reference for one output cell: start at `+0.0`
+    /// and add `a·b` for each term in order, skipping the term when `a` is
+    /// exactly `±0.0` and `skip_zero` is set.
+    fn one_accumulator(terms: impl Iterator<Item = (f64, f64)>, skip_zero: bool) -> f64 {
+        let mut acc = 0.0;
+        for (a, b) in terms {
+            if !(skip_zero && is_exact_zero(a)) {
+                acc += a * b;
+            }
+        }
+        acc
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.data.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every blocked product kernel against the one-accumulator reference,
+    /// bit for bit: output widths on and around the block sizes, `A` at
+    /// one, three and six rows (the `A·Bᵀ` kernels pair rows of `A`), k = 0,
+    /// exact `±0.0` entries in `A`, and the
+    /// accumulate kernels onto a non-zero destination. The skipping kernels
+    /// also meet an infinite row of `B` behind an all-zero slice of `A`,
+    /// which gives NaN unless the zero terms are skipped.
+    #[test]
+    fn blocked_kernels_match_one_accumulator_reference_bitwise() {
+        let mut rng = StdRng::seed_from_u64(45);
+        for n in [1usize, 7, 8, 9, 15, 16, 17, 64, 65, 128] {
+            for m in [1usize, 3, 6] {
+                for k in [0usize, 1, 6, 33] {
+                    let tag = format!("m={m} k={k} n={n}");
+                    let dst = Matrix::xavier(m, n, &mut rng);
+                    let mut b = Matrix::xavier(k, n, &mut rng);
+                    if k > 0 {
+                        b.row_mut(0).fill(f64::INFINITY);
+                    }
+
+                    // A·B: A is m×k with its column 0 zero.
+                    let mut a = with_zeros(m, k, &mut rng);
+                    if k > 0 {
+                        (0..m).for_each(|i| a[(i, 0)] = -0.0);
+                    }
+                    let want = build(m, n, |i, j| {
+                        one_accumulator((0..k).map(|kk| (a[(i, kk)], b[(kk, j)])), true)
+                    });
+                    let mut out = Matrix::full(m, n, 42.0);
+                    a.matmul_into(&b, &mut out);
+                    assert_eq!(bits(&out), bits(&want), "matmul {tag}");
+
+                    // Aᵀ·B and its fused accumulate: A is k×m with row 0
+                    // zero; k = 1 takes the outer-product path.
+                    let mut at = with_zeros(k, m, &mut rng);
+                    if k > 0 {
+                        at.row_mut(0).fill(0.0);
+                    }
+                    let want = build(m, n, |i, j| {
+                        one_accumulator((0..k).map(|kk| (at[(kk, i)], b[(kk, j)])), true)
+                    });
+                    let mut out = Matrix::full(m, n, 42.0);
+                    at.transpose_matmul_into(&b, &mut out);
+                    assert_eq!(bits(&out), bits(&want), "transpose_matmul {tag}");
+                    let mut got = dst.clone();
+                    got.add_transpose_matmul(&at, &b);
+                    let want = build(m, n, |i, j| dst[(i, j)] + want[(i, j)]);
+                    assert_eq!(bits(&got), bits(&want), "add_transpose_matmul {tag}");
+
+                    // A·Bᵀ and its fused accumulate: B is n×k, no skip.
+                    let bt = Matrix::xavier(n, k, &mut rng);
+                    let want = build(m, n, |i, j| {
+                        one_accumulator((0..k).map(|kk| (a[(i, kk)], bt[(j, kk)])), false)
+                    });
+                    let mut out = Matrix::full(m, n, 42.0);
+                    a.matmul_transpose_into(&bt, &mut out);
+                    assert_eq!(bits(&out), bits(&want), "matmul_transpose {tag}");
+                    let mut got = dst.clone();
+                    got.add_matmul_transpose(&a, &bt);
+                    let want = build(m, n, |i, j| dst[(i, j)] + want[(i, j)]);
+                    assert_eq!(bits(&got), bits(&want), "add_matmul_transpose {tag}");
+                }
+            }
+        }
     }
 }

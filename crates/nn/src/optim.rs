@@ -41,11 +41,10 @@ impl Optimizer for Sgd {
         let mut params = model.params_mut();
         ensure_state(&mut self.velocity, &params);
         for (p, v) in params.iter_mut().zip(&mut self.velocity) {
-            for i in 0..p.value.data().len() {
-                let g = p.grad.data()[i];
-                let vel = self.momentum * v.data()[i] + g;
-                v.data_mut()[i] = vel;
-                p.value.data_mut()[i] -= self.lr * vel;
+            let cells = p.value.data_mut().iter_mut().zip(p.grad.data());
+            for ((x, &g), vel) in cells.zip(v.data_mut()) {
+                *vel = self.momentum * *vel + g;
+                *x -= self.lr * *vel;
             }
         }
     }
@@ -86,11 +85,10 @@ impl Optimizer for RmsProp {
         let mut params = model.params_mut();
         ensure_state(&mut self.mean_square, &params);
         for (p, ms) in params.iter_mut().zip(&mut self.mean_square) {
-            for i in 0..p.value.data().len() {
-                let g = p.grad.data()[i];
-                let m = self.decay * ms.data()[i] + (1.0 - self.decay) * g * g;
-                ms.data_mut()[i] = m;
-                p.value.data_mut()[i] -= self.lr * g / (m.sqrt() + self.eps);
+            let cells = p.value.data_mut().iter_mut().zip(p.grad.data());
+            for ((x, &g), m) in cells.zip(ms.data_mut()) {
+                *m = self.decay * *m + (1.0 - self.decay) * g * g;
+                *x -= self.lr * g / (m.sqrt() + self.eps);
             }
         }
     }
@@ -133,15 +131,13 @@ impl Optimizer for Adam {
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
-            for i in 0..p.value.data().len() {
-                let g = p.grad.data()[i];
-                let mi = self.beta1 * m.data()[i] + (1.0 - self.beta1) * g;
-                let vi = self.beta2 * v.data()[i] + (1.0 - self.beta2) * g * g;
-                m.data_mut()[i] = mi;
-                v.data_mut()[i] = vi;
-                let mhat = mi / bc1;
-                let vhat = vi / bc2;
-                p.value.data_mut()[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+            let cells = p.value.data_mut().iter_mut().zip(p.grad.data());
+            for (((x, &g), mi), vi) in cells.zip(m.data_mut()).zip(v.data_mut()) {
+                *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
+                *vi = self.beta2 * *vi + (1.0 - self.beta2) * g * g;
+                let mhat = *mi / bc1;
+                let vhat = *vi / bc2;
+                *x -= self.lr * mhat / (vhat.sqrt() + self.eps);
             }
         }
     }
