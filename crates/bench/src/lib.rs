@@ -59,11 +59,11 @@ impl ExperimentEnv {
     /// starts the process wall-clock used by the `bench.wall_secs` gauge.
     pub fn from_env() -> Self {
         PROCESS_START.get_or_init(Instant::now);
-        // Live telemetry (STPT_METRICS_ADDR / STPT_METRICS_PERIOD): starts
-        // the collector ring and the Prometheus scrape listener when asked.
-        // Strictly read-only over results — envelopes are byte-identical
-        // with the exporter on or off (checked in CI).
-        stpt_obs::init_live_from_env();
+        // The observability gates, the telemetry directory and the
+        // Prometheus scrape listener (STPT_TRACE*, STPT_TELEMETRY_DIR,
+        // STPT_METRICS_ADDR). Strictly read-only over results — envelopes
+        // are byte-identical with the exporter on or off (checked in CI).
+        stpt_obs::init_from_env();
         let get = |k: &str, d: usize| {
             // xtask-allow(XT10): the one sanctioned scale-knob reader — every value read here is recorded in the result envelope, keeping runs attributable
             std::env::var(k)
@@ -337,17 +337,6 @@ pub fn emit_result<T: Serialize>(name: &str, env: &ExperimentEnv, value: &T) {
         stpt_obs::diag!("telemetry: wrote {}", tpath.display());
     }
     if let Some(tpath) = stpt_obs::export::write_chrome_trace(name) {
-        stpt_obs::diag!("telemetry: wrote {}", tpath.display());
-    }
-    if let Some(tpath) = stpt_obs::export::write_flamegraph(name) {
-        stpt_obs::diag!("telemetry: wrote {}", tpath.display());
-    }
-    if stpt_obs::live_enabled() {
-        // Final collector tick so the exported ring includes activity since
-        // the last periodic sample (short runs may have seen none at all).
-        stpt_obs::timeseries::collect_now();
-    }
-    if let Some(tpath) = stpt_obs::export::write_timeseries(name) {
         stpt_obs::diag!("telemetry: wrote {}", tpath.display());
     }
 }

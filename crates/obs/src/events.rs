@@ -12,18 +12,18 @@
 //! aggregate-only path keeps its near-zero overhead when only `STPT_TRACE`
 //! is set.
 //!
-//! The buffer is a bounded ring: once `STPT_TRACE_EVENT_CAP` events (default
-//! 2^16) have been recorded, further events are counted as dropped rather
-//! than recorded — dropping *new* events (not old ones) keeps every
-//! recorded begin/end pair intact, and the exporter reports the drop count.
+//! The buffer is bounded: once [`CAPACITY`] events (2^16) have been
+//! recorded, further events are counted as dropped rather than recorded —
+//! dropping *new* events (not old ones) keeps every recorded begin/end pair
+//! intact, and the exporter reports the drop count.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-/// Default event-buffer capacity (events, not spans; a span is two events).
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
+/// Event-buffer capacity (events, not spans; a span is two events).
+pub const CAPACITY: usize = 1 << 16;
 
 /// Whether an event marks a span entry or exit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +53,6 @@ pub struct TraceEvent {
 static BUFFER: OnceLock<Mutex<Vec<TraceEvent>>> = OnceLock::new();
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
-static CAPACITY: OnceLock<usize> = OnceLock::new();
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 static NAMES: OnceLock<Mutex<Vec<(u64, String)>>> = OnceLock::new();
 
@@ -66,18 +65,6 @@ fn buffer() -> MutexGuard<'static, Vec<TraceEvent>> {
         .get_or_init(|| Mutex::new(Vec::new()))
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Ring capacity in events (`STPT_TRACE_EVENT_CAP`, default 2^16). Public
-/// so diagnostics about dropped events can name the limit to raise.
-pub fn capacity() -> usize {
-    *CAPACITY.get_or_init(|| {
-        std::env::var("STPT_TRACE_EVENT_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&c: &usize| c > 0)
-            .unwrap_or(DEFAULT_CAPACITY)
-    })
 }
 
 fn names() -> MutexGuard<'static, Vec<(u64, String)>> {
@@ -126,7 +113,7 @@ pub(crate) fn record(phase: EventPhase, name: &'static str, path: &str) {
         ts_ns: now_ns(),
     };
     let mut buf = buffer();
-    if buf.len() >= capacity() {
+    if buf.len() >= CAPACITY {
         drop(buf);
         DROPPED.fetch_add(1, Ordering::Relaxed);
         return;

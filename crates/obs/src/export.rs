@@ -16,13 +16,14 @@
 //! ```
 //!
 //! Files land under `results/telemetry/<run>.json` (override the directory
-//! with `STPT_TELEMETRY_DIR`). Non-finite floats serialise as `null` —
-//! JSON has no NaN/Inf and a telemetry reader must see *that it happened*
-//! rather than a parse error.
+//! with `STPT_TELEMETRY_DIR`, read by [`crate::init_from_env`]). Non-finite
+//! floats serialise as `null` — JSON has no NaN/Inf and a telemetry reader
+//! must see *that it happened* rather than a parse error.
 
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use crate::ledger;
 use crate::metrics;
@@ -30,6 +31,19 @@ use crate::trace;
 
 /// Default output directory, relative to the working directory.
 pub const DEFAULT_DIR: &str = "results/telemetry";
+
+/// Output directory when `STPT_TELEMETRY_DIR` was set.
+static DIR: OnceLock<PathBuf> = OnceLock::new();
+
+/// Point [`write_telemetry`] and [`write_chrome_trace`] at `dir` instead of
+/// [`DEFAULT_DIR`]. Called by [`crate::init_from_env`]; the first call wins.
+pub(crate) fn set_dir(dir: String) {
+    let _ = DIR.set(PathBuf::from(dir));
+}
+
+fn dir() -> &'static Path {
+    DIR.get().map_or(Path::new(DEFAULT_DIR), PathBuf::as_path)
+}
 
 /// Escape a string for a JSON string literal (without the quotes).
 fn json_escape(s: &str) -> String {
@@ -217,7 +231,7 @@ fn render_telemetry(run: &str, ledger_entries: bool) -> String {
         "  \"events\": {{ \"recorded\": {}, \"dropped\": {}, \"capacity\": {} }},",
         crate::events::snapshot().len(),
         crate::events::dropped(),
-        crate::events::capacity()
+        crate::events::CAPACITY
     );
 
     match published {
@@ -331,11 +345,13 @@ pub fn write_telemetry(run: &str) -> Option<PathBuf> {
     if !crate::enabled() {
         return None;
     }
-    let dir = std::env::var("STPT_TELEMETRY_DIR").unwrap_or_else(|_| DEFAULT_DIR.to_owned());
-    match write_telemetry_to(Path::new(&dir), run) {
+    match write_telemetry_to(dir(), run) {
         Ok(path) => Some(path),
         Err(err) => {
-            crate::diag!("telemetry: failed to write {dir}/{run}.json: {err}");
+            crate::diag!(
+                "telemetry: failed to write {}/{run}.json: {err}",
+                dir().display()
+            );
             None
         }
     }
@@ -483,162 +499,13 @@ pub fn write_chrome_trace(run: &str) -> Option<PathBuf> {
     if !crate::events_enabled() {
         return None;
     }
-    let dir = std::env::var("STPT_TELEMETRY_DIR").unwrap_or_else(|_| DEFAULT_DIR.to_owned());
-    match write_chrome_trace_to(Path::new(&dir), run) {
+    match write_chrome_trace_to(dir(), run) {
         Ok(path) => Some(path),
         Err(err) => {
-            crate::diag!("telemetry: failed to write {dir}/{run}.trace.json: {err}");
-            None
-        }
-    }
-}
-
-/// Collapse the recorded span events into folded-stack lines — the input
-/// format of standard flamegraph tooling (`flamegraph.pl`, inferno,
-/// speedscope): one `path;to;frame <weight>` line per distinct stack.
-///
-/// The weight of a stack is its **completion count**, not wall time: span
-/// durations vary run-to-run, and the acceptance bar for this export is
-/// byte-identical output across same-seed runs (at `STPT_THREADS=1`).
-/// Counts are schedule-independent as long as the ring did not drop
-/// events; begins left unmatched (still-open spans, ends lost to the ring
-/// cap) are closed synthetically and counted once. Lines are emitted in
-/// lexicographic stack order, so the document is deterministic
-/// independently of thread interleaving.
-pub fn folded_stacks() -> String {
-    let events = crate::events::snapshot();
-    let mut counts: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    let mut open: std::collections::HashMap<u64, Vec<&str>> = std::collections::HashMap::new();
-    for e in &events {
-        match e.phase {
-            crate::events::EventPhase::Begin => {
-                open.entry(e.tid).or_default().push(e.path.as_str());
-            }
-            crate::events::EventPhase::End => {
-                open.entry(e.tid).or_default().pop();
-                *counts.entry(e.path.replace('/', ";")).or_insert(0) += 1;
-            }
-        }
-    }
-    // Synthetic closes for unmatched begins, innermost-first.
-    for (_, stack) in open {
-        for path in stack.iter().rev() {
-            *counts.entry(path.replace('/', ";")).or_insert(0) += 1;
-        }
-    }
-    let mut out = String::with_capacity(counts.len() * 48);
-    for (stack, count) in &counts {
-        let _ = writeln!(out, "{stack} {count}");
-    }
-    out
-}
-
-/// Write the folded flamegraph for `run` into `dir` as `<run>.folded`.
-pub fn write_flamegraph_to(dir: &Path, run: &str) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{}.folded", file_stem(run)));
-    std::fs::write(&path, folded_stacks())?;
-    Ok(path)
-}
-
-/// Write the folded flamegraph for `run` under `STPT_TELEMETRY_DIR` (or
-/// [`DEFAULT_DIR`]). Returns `None` when the events gate is off or the
-/// write fails — export must never take down the run it observes.
-pub fn write_flamegraph(run: &str) -> Option<PathBuf> {
-    if !crate::events_enabled() {
-        return None;
-    }
-    let dir = std::env::var("STPT_TELEMETRY_DIR").unwrap_or_else(|_| DEFAULT_DIR.to_owned());
-    match write_flamegraph_to(Path::new(&dir), run) {
-        Ok(path) => Some(path),
-        Err(err) => {
-            crate::diag!("telemetry: failed to write {dir}/{run}.folded: {err}");
-            None
-        }
-    }
-}
-
-/// Render the retained time-series ring ([`crate::timeseries`]) as JSON:
-/// one object per delta sample (counter deltas, point-in-time gauges,
-/// histogram delta counts/sums) plus the series-table overflow tallies.
-/// This is the post-mortem artifact of a live run — RSS and CPU-time
-/// history at the collector cadence, which the cumulative telemetry
-/// document cannot show.
-pub fn timeseries_json(run: &str) -> String {
-    let samples = crate::timeseries::samples();
-    let (counter_overflow, hist_overflow) = crate::timeseries::series_overflow();
-    let gauge_overflow = crate::timeseries::gauge_series_overflow();
-
-    let mut out = String::with_capacity(samples.len() * 128 + 256);
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"run\": \"{}\",", json_escape(run));
-    let _ = writeln!(
-        out,
-        "  \"overflow\": {{ \"counters\": {counter_overflow}, \"gauges\": {gauge_overflow}, \
-         \"histograms\": {hist_overflow} }},"
-    );
-    out.push_str("  \"samples\": [");
-    for (i, s) in samples.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\n    {{ \"seq\": {}, \"at_ms\": {}", s.seq, s.at_ms);
-        out.push_str(", \"counters\": [");
-        for (j, (name, delta)) in s.counters.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "[\"{}\", {}]", json_escape(name), delta);
-        }
-        out.push_str("], \"gauges\": [");
-        for (j, (name, value)) in s.gauges.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "[\"{}\", {}]", json_escape(name), json_f64(*value));
-        }
-        out.push_str("], \"histograms\": [");
-        for (j, h) in s.histograms.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{ \"name\": \"{}\", \"count\": {}, \"sum\": {} }}",
-                json_escape(h.name),
-                h.count,
-                json_f64(h.sum)
+            crate::diag!(
+                "telemetry: failed to write {}/{run}.trace.json: {err}",
+                dir().display()
             );
-        }
-        out.push_str("] }");
-    }
-    out.push_str(if samples.is_empty() { "]\n" } else { "\n  ]\n" });
-    out.push_str("}\n");
-    out
-}
-
-/// Write the time-series document for `run` into `dir` as
-/// `<run>.timeseries.json`.
-pub fn write_timeseries_to(dir: &Path, run: &str) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{}.timeseries.json", file_stem(run)));
-    std::fs::write(&path, timeseries_json(run))?;
-    Ok(path)
-}
-
-/// Write the time-series document for `run` under `STPT_TELEMETRY_DIR`
-/// (or [`DEFAULT_DIR`]). Returns `None` when live monitoring is off (no
-/// collector ran, so the ring is empty) or the write fails — export must
-/// never take down the run it observes.
-pub fn write_timeseries(run: &str) -> Option<PathBuf> {
-    if !crate::live_enabled() {
-        return None;
-    }
-    let dir = std::env::var("STPT_TELEMETRY_DIR").unwrap_or_else(|_| DEFAULT_DIR.to_owned());
-    match write_timeseries_to(Path::new(&dir), run) {
-        Ok(path) => Some(path),
-        Err(err) => {
-            crate::diag!("telemetry: failed to write {dir}/{run}.timeseries.json: {err}");
             None
         }
     }
@@ -718,38 +585,9 @@ mod tests {
     }
 
     #[test]
-    fn folded_stacks_collapse_deterministically() {
-        let _lock = crate::test_lock();
-        crate::reset_for_tests();
-        crate::set_events_enabled(true);
-        {
-            let _a = crate::span!("outer");
-            {
-                let _b = crate::span!("inner");
-            }
-            {
-                let _b = crate::span!("inner");
-            }
-        }
-        let _open = crate::span!("dangling"); // closed synthetically
-        let folded = folded_stacks();
-        crate::set_events_enabled(false);
-        drop(_open);
-        assert!(folded.contains("outer 1\n"), "{folded}");
-        assert!(folded.contains("outer;inner 2\n"), "{folded}");
-        assert!(folded.contains("dangling 1\n"), "{folded}");
-        // Lines are emitted in sorted order (determinism by construction).
-        let lines: Vec<&str> = folded.lines().collect();
-        let mut sorted = lines.clone();
-        sorted.sort_unstable();
-        assert_eq!(lines, sorted);
-        crate::reset_for_tests();
-    }
-
-    #[test]
     fn phase_span_resource_fields_ride_the_telemetry_doc() {
         let _lock = crate::test_lock();
-        crate::reset_for_tests();
+        crate::reset();
         crate::resources::set_proc_root_override(None);
         if !crate::resources::available() {
             return; // degraded host: the fields are (correctly) absent
@@ -761,29 +599,11 @@ mod tests {
         }
         let doc = telemetry_json("resource test");
         crate::set_enabled(false);
-        crate::reset_for_tests();
+        crate::reset();
         assert!(doc.contains("\"path\": \"resourced_phase\""), "{doc}");
         assert!(doc.contains("\"cpu_secs\": "), "{doc}");
         assert!(doc.contains("\"cpu_efficiency\": "), "{doc}");
         assert!(doc.contains("\"peak_rss_bytes\": "), "{doc}");
-    }
-
-    #[test]
-    fn timeseries_document_round_trips_the_ring() {
-        let _lock = crate::test_lock();
-        crate::reset_for_tests();
-        static EXPORT_TS: crate::Counter = crate::Counter::new("test.export.ts");
-        crate::set_enabled(true);
-        EXPORT_TS.add(3);
-        crate::timeseries::collect_now();
-        crate::set_enabled(false);
-        let doc = timeseries_json("ts run");
-        crate::reset_for_tests();
-        assert!(doc.contains("\"run\": \"ts run\""), "{doc}");
-        assert!(doc.contains("[\"test.export.ts\", 3]"), "{doc}");
-        assert!(doc.contains("\"overflow\": { \"counters\": 0, \"gauges\": 0, \"histograms\": 0 }"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert_eq!(doc.matches('[').count(), doc.matches(']').count());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Hermetic observability for the STPT reproduction.
 //!
-//! Three instruments, one gate:
+//! Three instruments:
 //!
 //! * [`trace`] — span-based hierarchical phase timers. `obs::span!("x")`
 //!   returns an RAII guard; nested guards build `/`-separated paths and
@@ -14,11 +14,13 @@
 //!   the replay check here, so telemetry exports carry the runtime-verified
 //!   composition argument.
 //!
-//! Everything is gated by the `STPT_TRACE` environment variable (any
-//! non-empty value other than `0` enables it). When the gate is off, every
-//! recording call is a single relaxed atomic load — near-zero overhead.
-//! [`export::write_telemetry`] dumps the collected state as JSON under
-//! `results/telemetry/`.
+//! Recording is gated by three plain atomics — [`enabled`] (`STPT_TRACE`),
+//! [`events_enabled`] (`STPT_TRACE_EVENTS`) and [`live_enabled`]
+//! (`STPT_METRICS_ADDR`) — all off until [`init_from_env`], the one reader
+//! of the environment, or an explicit `set_*` call switches them on. When
+//! they are off, every recording call is a single relaxed atomic load —
+//! near-zero overhead. [`export::write_telemetry`] dumps the collected
+//! state as JSON under `results/telemetry/`.
 //!
 //! The crate is dependency-free (std only) so every workspace crate —
 //! including the `stpt-dp` privacy kernel — can depend on it without
@@ -51,87 +53,53 @@ pub use metrics::{Counter, Gauge, Histogram};
 pub use noise::NoiseStatus;
 pub use trace::SpanGuard;
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Tri-state gate: 0 = uninitialised, 1 = off, 2 = on.
-static STATE: AtomicU8 = AtomicU8::new(0);
+/// Aggregate gate (`STPT_TRACE`): spans, metrics and the telemetry document.
+static TRACE: AtomicBool = AtomicBool::new(false);
 
-/// Tri-state gate for timestamped span events (`STPT_TRACE_EVENTS`).
-static EVENTS_STATE: AtomicU8 = AtomicU8::new(0);
+/// Span-event gate (`STPT_TRACE_EVENTS`): timestamped events for the
+/// Chrome trace.
+static EVENTS: AtomicBool = AtomicBool::new(false);
 
-/// Live-monitoring gate: 0/1 = off, 2 = on. Unlike the other gates it is
-/// never initialised from the environment lazily — only
-/// [`init_live_from_env`] (called once by the bench harness) or
-/// [`set_live_enabled`] turn it on, so library code paths cannot
-/// accidentally spawn background threads.
-static LIVE_STATE: AtomicU8 = AtomicU8::new(0);
+/// Live-monitoring gate (`STPT_METRICS_ADDR`): metric recording for the
+/// Prometheus scrape, without any export file.
+static LIVE: AtomicBool = AtomicBool::new(false);
 
-/// Whether tracing/metrics collection is enabled. First call reads the
-/// `STPT_TRACE` environment variable; later calls are one relaxed atomic
-/// load.
+/// Whether tracing/metrics collection is enabled. One relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_from_env(),
-    }
+    TRACE.load(Ordering::Relaxed)
 }
 
-#[cold]
-fn init_from_env() -> bool {
-    let on = std::env::var("STPT_TRACE")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
-/// Force the gate on or off, overriding `STPT_TRACE`. Used by tests and by
-/// harnesses that decide at runtime (the variable is only read once).
+/// Switch the aggregate gate on or off.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    TRACE.store(on, Ordering::Relaxed);
 }
 
-/// Whether timestamped span-event recording is enabled. First call reads
-/// the `STPT_TRACE_EVENTS` environment variable; later calls are one
-/// relaxed atomic load. Independent of [`enabled`]: events can be recorded
-/// without the aggregate tables and vice versa — a span fires when either
-/// gate is on.
+/// Whether timestamped span-event recording is enabled. Independent of
+/// [`enabled`]: events can be recorded without the aggregate tables and
+/// vice versa — a span fires when either gate is on.
 #[inline]
 pub fn events_enabled() -> bool {
-    match EVENTS_STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_events_from_env(),
-    }
+    EVENTS.load(Ordering::Relaxed)
 }
 
-#[cold]
-fn init_events_from_env() -> bool {
-    let on = std::env::var("STPT_TRACE_EVENTS")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    EVENTS_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
-/// Force the events gate on or off, overriding `STPT_TRACE_EVENTS`.
+/// Switch the span-event gate on or off.
 pub fn set_events_enabled(on: bool) {
-    EVENTS_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    EVENTS.store(on, Ordering::Relaxed);
 }
 
-/// Whether live monitoring (time-series collection / Prometheus scrape) is
-/// enabled. One relaxed atomic load; off unless [`init_live_from_env`] or
-/// [`set_live_enabled`] switched it on.
+/// Whether live monitoring (the Prometheus scrape and its resource
+/// sampler) is enabled. One relaxed atomic load.
 #[inline]
 pub fn live_enabled() -> bool {
-    LIVE_STATE.load(Ordering::Relaxed) == 2
+    LIVE.load(Ordering::Relaxed)
 }
 
-/// Force the live-monitoring gate on or off.
+/// Switch the live-monitoring gate on or off.
 pub fn set_live_enabled(on: bool) {
-    LIVE_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    LIVE.store(on, Ordering::Relaxed);
 }
 
 /// Whether metric/span recording should happen at all: post-mortem tracing
@@ -144,39 +112,37 @@ pub fn collecting() -> bool {
     enabled() || live_enabled()
 }
 
-/// Wire up live monitoring from the environment, once per process:
+/// Read the observability environment, once per process. This is the one
+/// place any `STPT_TRACE*`/`STPT_METRICS_ADDR`/`STPT_TELEMETRY_DIR` value
+/// is read (the XT10 choke point); everything else consults the gates.
 ///
-/// * `STPT_METRICS_PERIOD` — sampling period of the background time-series
-///   collector (`250ms`, `2s`, or a bare integer in milliseconds);
-/// * `STPT_METRICS_ADDR` — bind address (`127.0.0.1:9184`) for the
-///   Prometheus text-exposition scrape listener.
+/// * `STPT_TRACE` — any value other than empty or `0` switches
+///   [`enabled`] on;
+/// * `STPT_TRACE_EVENTS` — likewise for [`events_enabled`];
+/// * `STPT_TELEMETRY_DIR` — where [`export`] writes (default
+///   [`export::DEFAULT_DIR`]);
+/// * `STPT_METRICS_ADDR` — bind address (`127.0.0.1:9184`) of the
+///   Prometheus scrape listener. Switches [`live_enabled`] on and starts
+///   the 1 s resource sampler; a busy port is reported on stderr and
+///   never takes down the run.
 ///
-/// Either variable alone switches [`live_enabled`] on (the scrape listener
-/// implies collection at a default period; a period alone records the ring
-/// for post-mortem inspection). Failures — unparseable period, busy port —
-/// are reported on stderr and never take down the run. Subsequent calls
-/// are no-ops.
-pub fn init_live_from_env() {
+/// An unset variable leaves its gate as it is. Later calls are no-ops.
+pub fn init_from_env() {
     static INIT: std::sync::Once = std::sync::Once::new();
     INIT.call_once(|| {
-        // crates/obs is the sanctioned XT10 choke point for the
-        // STPT_METRICS_* live-telemetry toggles.
-        let period = std::env::var("STPT_METRICS_PERIOD").ok();
-        let addr = std::env::var("STPT_METRICS_ADDR").ok();
-        if period.is_none() && addr.is_none() {
-            return;
+        let flag = |name: &str| std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0");
+        if flag("STPT_TRACE") {
+            set_enabled(true);
         }
-        let period = match period.as_deref().map(timeseries::parse_period) {
-            Some(Ok(p)) => p,
-            Some(Err(err)) => {
-                diag!("live telemetry: bad STPT_METRICS_PERIOD ({err}); using 1s");
-                timeseries::DEFAULT_PERIOD
-            }
-            None => timeseries::DEFAULT_PERIOD,
-        };
-        set_live_enabled(true);
-        timeseries::start_collector(period);
-        if let Some(addr) = addr {
+        if flag("STPT_TRACE_EVENTS") {
+            set_events_enabled(true);
+        }
+        if let Ok(dir) = std::env::var("STPT_TELEMETRY_DIR") {
+            export::set_dir(dir);
+        }
+        if let Ok(addr) = std::env::var("STPT_METRICS_ADDR") {
+            set_live_enabled(true);
+            timeseries::start_collector(std::time::Duration::from_secs(1));
             match prometheus::serve(&addr) {
                 Ok(bound) => diag!("live telemetry: serving /metrics on http://{bound}/metrics"),
                 Err(err) => diag!("live telemetry: could not bind {addr}: {err}"),
@@ -185,31 +151,22 @@ pub fn init_live_from_env() {
     });
 }
 
-/// Clear all collected state (spans, metric values, ledger, span events).
-/// Metric *registrations* survive — statics stay registered; their values
-/// reset to zero. Intended for tests and for harnesses that export one
-/// snapshot per run.
+/// Clear all collected state (spans, metric values, ledger, span events,
+/// noise moments, sampler bookkeeping) without touching the gates. Metric
+/// *registrations* survive — statics stay registered; their values reset
+/// to zero.
+///
+/// Integration tests share one process (and therefore one set of statics);
+/// any test that snapshots telemetry, or asserts on ledger/metric contents,
+/// must call this first so it does not observe residue from tests that ran
+/// earlier in the same binary.
 pub fn reset() {
     trace::reset();
     metrics::reset();
     ledger::reset();
     events::reset();
-    timeseries::reset();
     noise::reset();
     resources::reset();
-}
-
-/// Reset every process-global table this crate owns — the span aggregate
-/// table, all metric values, the published budget ledger and the span-event
-/// buffer — without touching the gates.
-///
-/// Integration tests share one process (and therefore one set of statics);
-/// any test that snapshots telemetry, or asserts on ledger/metric contents,
-/// must call this first so it does not observe residue from tests that ran
-/// earlier in the same binary. Alias of [`reset`] under a name that states
-/// the contract.
-pub fn reset_for_tests() {
-    reset();
 }
 
 /// Print one line of primary output (results, table rows) to stdout.

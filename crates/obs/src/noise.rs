@@ -235,7 +235,7 @@ mod tests {
     #[test]
     fn records_moments_and_reservoir_per_scale() {
         let _lock = crate::test_lock();
-        crate::reset_for_tests();
+        crate::reset();
         crate::set_enabled(true);
         for i in 0..10 {
             record_laplace(0.125, i as f64 - 4.5); // mean 0, known spread
@@ -253,14 +253,14 @@ mod tests {
         assert!(b.variance.abs() < 1e-12);
         assert!(stats_for(0.5).is_none());
         assert_eq!(stats().len(), 2);
-        crate::reset_for_tests();
+        crate::reset();
         assert!(stats().is_empty());
     }
 
     #[test]
     fn gate_off_records_nothing() {
         let _lock = crate::test_lock();
-        crate::reset_for_tests();
+        crate::reset();
         crate::set_enabled(false);
         // Live monitoring alone must NOT record raw noise draws.
         crate::set_live_enabled(true);

@@ -247,7 +247,7 @@ mod tests {
     #[test]
     fn render_emits_valid_families() {
         let _lock = crate::test_lock();
-        crate::reset_for_tests();
+        crate::reset();
         crate::set_enabled(true);
         PROM_COUNTER.add(7);
         PROM_GAUGE.set(2.5);
@@ -280,13 +280,13 @@ mod tests {
                 "bad sample line: {l}"
             );
         }
-        crate::reset_for_tests();
+        crate::reset();
     }
 
     #[test]
     fn serve_answers_scrapes_and_404s() {
         let _lock = crate::test_lock();
-        crate::reset_for_tests();
+        crate::reset();
         crate::set_enabled(true);
         PROM_COUNTER.add(1);
         crate::set_enabled(false);
@@ -320,6 +320,6 @@ mod tests {
         let mut out = String::new();
         let _ = s.read_to_string(&mut out);
         assert!(out.starts_with("HTTP/1.1 413"), "{out}");
-        crate::reset_for_tests();
+        crate::reset();
     }
 }

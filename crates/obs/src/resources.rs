@@ -10,28 +10,30 @@
 //! # Degradation policy
 //!
 //! Every raw read returns `Option`: off-Linux, inside a stripped-down
-//! sandbox without `/proc`, or with `STPT_RESOURCES=0` set, [`available`]
-//! is `false`, [`sample`] is a no-op, phase spans skip their CPU/RSS
-//! capture, exports omit the resource fields and `cargo xtask regress`
-//! skips resource checks with a named reason. Nothing in the result
-//! envelope ever depends on whether sampling ran — resource data flows
-//! only into telemetry, never into the `data` payload.
+//! sandbox without `/proc`, or with the gate switched off in code
+//! ([`set_resources_enabled`]), [`available`] is `false`, [`sample`] is a
+//! no-op, phase spans skip their CPU/RSS capture, exports omit the resource
+//! fields and `cargo xtask regress` skips resource checks with a named
+//! reason. Nothing in the result envelope ever depends on whether sampling
+//! ran — resource data flows only into telemetry, never into the `data`
+//! payload.
 //!
 //! # Cadence and units
 //!
-//! [`sample`] is called by the `STPT_METRICS_PERIOD` collector tick (so the
-//! time-series ring gets an RSS gauge series and CPU-time counter series)
-//! and is cheap enough for phase boundaries too: three small files under
-//! `/proc/self` plus one `task/` scan. CPU time is converted from clock
-//! ticks via `AT_CLKTCK` from `/proc/self/auxv` (fallback 100 Hz), RSS
-//! from pages via `AT_PAGESZ` (fallback 4096). Worker threads are scoped —
-//! they exist only while a `run_chunks` region executes — so the per-worker
-//! CPU series is best-effort: a tick that lands outside a parallel region
-//! sees no workers, and a re-spawned worker restarts its cumulative clock
-//! (handled by treating a backwards jump as a fresh incarnation).
+//! [`sample`] is called by the 1 s live sampler
+//! ([`crate::timeseries::start_collector`], so a `/metrics` scrape sees
+//! current RSS and CPU time) and is cheap enough for phase boundaries too:
+//! three small files under `/proc/self` plus one `task/` scan. CPU time is
+//! converted from clock ticks via `AT_CLKTCK` from `/proc/self/auxv`
+//! (fallback 100 Hz), RSS from pages via `AT_PAGESZ` (fallback 4096).
+//! Worker threads are scoped — they exist only while a `run_chunks` region
+//! executes — so the per-worker CPU series is best-effort: a tick that
+//! lands outside a parallel region sees no workers, and a re-spawned
+//! worker restarts its cumulative clock (handled by treating a backwards
+//! jump as a fresh incarnation).
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Worker indices tracked as individual counter series
@@ -61,37 +63,20 @@ static WORKER_CPU_MS: [crate::Counter; MAX_TRACKED_WORKERS] = [
 /// Overflow series for workers beyond [`MAX_TRACKED_WORKERS`].
 static WORKER_CPU_OVERFLOW_MS: crate::Counter = crate::Counter::new("worker.other.cpu_ms");
 
-/// Tri-state gate: 0 = uninitialised, 1 = off, 2 = on.
-static GATE: AtomicU8 = AtomicU8::new(0);
+/// Resource-sampling gate; on unless switched off in code.
+static GATE: AtomicBool = AtomicBool::new(true);
 
-/// Whether resource sampling is switched on. First call reads the
-/// `STPT_RESOURCES` environment variable (`0` or empty disables; default
-/// on); later calls are one relaxed atomic load. This is a *gate*, not a
-/// capability: sampling additionally requires a readable `/proc`
-/// (see [`available`]).
+/// Whether resource sampling is switched on (default on). One relaxed
+/// atomic load. This is a *gate*, not a capability: sampling additionally
+/// requires a readable `/proc` (see [`available`]).
 #[inline]
 pub fn resources_enabled() -> bool {
-    match GATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_gate_from_env(),
-    }
+    GATE.load(Ordering::Relaxed)
 }
 
-#[cold]
-fn init_gate_from_env() -> bool {
-    // crates/obs is the sanctioned XT10 choke point for the STPT_RESOURCES
-    // resource-sampling toggle (alongside STPT_TRACE*/STPT_METRICS_*).
-    let on = std::env::var("STPT_RESOURCES")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(true);
-    GATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
-/// Force the resource gate on or off, overriding `STPT_RESOURCES`.
+/// Switch the resource gate on or off.
 pub fn set_resources_enabled(on: bool) {
-    GATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    GATE.store(on, Ordering::Relaxed);
 }
 
 /// Test-only injection point for the degradation path: override the
@@ -334,7 +319,7 @@ pub fn sample() {
 
 /// Clear sampler bookkeeping (previous cumulatives, the RSS peak). Metric
 /// values are cleared separately by [`crate::metrics::reset`]; the
-/// `STPT_RESOURCES` gate and the test root override are left untouched.
+/// resource gate and the test root override are left untouched.
 pub fn reset() {
     let mut st = state();
     *st = SamplerState::default();
@@ -388,8 +373,6 @@ mod tests {
         assert!(t2 >= t1, "cumulative CPU time is monotone");
         // task/ scan must not error even with zero matching workers.
         assert!(worker_cpu_ticks().is_some());
-        set_resources_enabled(false);
-        GATE.store(0, Ordering::Relaxed); // back to env-lazy for other tests
     }
 
     #[test]
@@ -403,7 +386,6 @@ mod tests {
         assert_eq!(worker_cpu_ticks(), None);
         sample(); // must be a silent no-op
         set_proc_root_override(None);
-        GATE.store(0, Ordering::Relaxed);
     }
 
     #[test]
@@ -413,6 +395,5 @@ mod tests {
         set_resources_enabled(false);
         assert!(!available());
         set_resources_enabled(true);
-        GATE.store(0, Ordering::Relaxed);
     }
 }

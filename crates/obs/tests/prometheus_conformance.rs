@@ -20,7 +20,7 @@ struct Restore;
 impl Drop for Restore {
     fn drop(&mut self) {
         stpt_obs::set_enabled(false);
-        stpt_obs::reset_for_tests();
+        stpt_obs::reset();
     }
 }
 
@@ -98,7 +98,7 @@ fn family_of<'a>(name: &'a str, histograms: &[&str]) -> &'a str {
 fn full_exposition_is_conformant_including_resource_families() {
     let _lock = lock();
     let _restore = Restore;
-    stpt_obs::reset_for_tests();
+    stpt_obs::reset();
     stpt_obs::set_enabled(true);
 
     // Drive every family kind: a multi-bucket histogram, a plain counter,

@@ -1,6 +1,6 @@
 //! Degradation tests for the `/proc` resource layer: when the proc root
 //! is unreadable (injected via the test-only root override) or the
-//! `STPT_RESOURCES` gate is off, sampling disables cleanly — phase spans
+//! resource gate is switched off, sampling disables cleanly — phase spans
 //! fall back to plain spans, the telemetry document carries no resource
 //! fields, and the rest of the pipeline is untouched.
 
@@ -21,13 +21,13 @@ impl Drop for Restore {
         stpt_obs::resources::set_proc_root_override(None);
         stpt_obs::resources::set_resources_enabled(true);
         stpt_obs::set_enabled(false);
-        stpt_obs::reset_for_tests();
+        stpt_obs::reset();
     }
 }
 
 /// Trace one phase-span workload and export its telemetry document.
 fn traced_run(run: &str) -> String {
-    stpt_obs::reset_for_tests();
+    stpt_obs::reset();
     stpt_obs::set_enabled(true);
     {
         let _phase = stpt_obs::phase_span!("stpt");
@@ -73,7 +73,7 @@ fn gate_off_disables_sampling_even_with_a_real_proc() {
     stpt_obs::resources::set_resources_enabled(false);
     assert!(
         !stpt_obs::resources::available(),
-        "STPT_RESOURCES=0 must disable the layer regardless of /proc"
+        "a switched-off gate must disable the layer regardless of /proc"
     );
 
     let doc = traced_run("gated");

@@ -27,7 +27,7 @@ impl Drop for GatesOff {
 fn spans_stay_per_thread_and_aggregate_counts_sum() {
     let _lock = lock();
     let _off = GatesOff;
-    stpt_obs::reset_for_tests();
+    stpt_obs::reset();
     stpt_obs::set_enabled(true);
     stpt_obs::set_events_enabled(false);
 
@@ -66,7 +66,7 @@ fn spans_stay_per_thread_and_aggregate_counts_sum() {
 fn chrome_trace_round_trips_through_a_json_parser() {
     let _lock = lock();
     let _off = GatesOff;
-    stpt_obs::reset_for_tests();
+    stpt_obs::reset();
     stpt_obs::set_events_enabled(true);
 
     // Two threads, nested spans — the export must keep one well-nested
@@ -159,7 +159,7 @@ fn chrome_trace_round_trips_through_a_json_parser() {
 fn still_open_spans_are_closed_synthetically() {
     let _lock = lock();
     let _off = GatesOff;
-    stpt_obs::reset_for_tests();
+    stpt_obs::reset();
     stpt_obs::set_events_enabled(true);
     let guard = stpt_obs::span!("open_at_export");
     let doc = stpt_obs::export::chrome_trace_json("open");
@@ -193,7 +193,7 @@ fn telemetry_histograms_export_quantiles() {
     static HIST: stpt_obs::Histogram = stpt_obs::Histogram::new("test.export_quantiles");
     let _lock = lock();
     let _off = GatesOff;
-    stpt_obs::reset_for_tests();
+    stpt_obs::reset();
     stpt_obs::set_enabled(true);
     for _ in 0..10 {
         HIST.observe(3.0);

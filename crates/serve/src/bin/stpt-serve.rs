@@ -3,8 +3,10 @@
 //! Sanitizes each configured dataset × ε release **once** at startup,
 //! then answers spatio-temporal range queries over HTTP until a client
 //! posts `/shutdown`. All configuration comes from CLI flags — the
-//! daemon reads no environment variables, so its DP behaviour is fully
-//! determined by its argv (hermeticity rule XT10).
+//! daemon reads no configuration from the environment (the seam's
+//! `STPT_THREADS` sets how many threads answer a batch, never an
+//! answer), so its DP behaviour is fully determined by its argv
+//! (hermeticity rule XT10).
 //!
 //! ```text
 //! stpt-serve --addr 127.0.0.1:7878 --dataset CER --grid 16 --hours 64 \
@@ -110,8 +112,8 @@ fn main() -> ExitCode {
         }
     };
 
-    // Live telemetry: time-series ring + the metrics the /metrics
-    // endpoint renders.
+    // Live telemetry: record the metrics the /metrics endpoint renders,
+    // with the /proc resource gauges refreshed every second.
     stpt_obs::set_live_enabled(true);
     stpt_obs::timeseries::start_collector(Duration::from_secs(1));
 

@@ -17,7 +17,7 @@ use stpt_dp::DpError;
 use stpt_obs::LedgerEntry;
 
 /// Machine-readable outcome of one ε-freeness proof, exposed by
-/// `GET /releases` and committed into `BENCH_serve.json`.
+/// `GET /releases`.
 #[derive(Debug, Clone, Serialize)]
 pub struct ServingProof {
     /// Post-processing stages verified (sanitize-time consistency stages

@@ -63,6 +63,61 @@ fn post(addr: SocketAddr, path: &str, body: &str) -> String {
     )
 }
 
+/// The body of a raw HTTP response.
+fn body(response: &str) -> &str {
+    response.split_once("\r\n\r\n").map_or("", |(_, b)| b)
+}
+
+/// Check a `GET /releases` body: every release's proof verified, and its
+/// `epsilon_spent_serving` is bitwise `+0.0`. The value is parsed and its
+/// bits compared, because a substring match on `"epsilon_spent_serving":0`
+/// also accepts `0.5`. Returns the number of releases checked.
+fn check_epsilon_free(body: &str) -> Result<usize, String> {
+    let value: serde::Value = serde_json::from_str(body).map_err(|e| e.to_string())?;
+    let releases = value.as_array().ok_or("`/releases` is not an array")?;
+    if releases.is_empty() {
+        return Err("no releases listed".to_owned());
+    }
+    let field = |v: &serde::Value, name: &str| -> Result<serde::Value, String> {
+        let fields = v.as_object().ok_or(format!("no object around `{name}`"))?;
+        serde::get_field(fields, name)
+            .cloned()
+            .map_err(|e| e.to_string())
+    };
+    for release in releases {
+        let proof = field(release, "proof")?;
+        if field(&proof, "verified")? != serde::Value::Bool(true) {
+            return Err("proof not verified".to_owned());
+        }
+        let spent = field(&proof, "epsilon_spent_serving")?
+            .as_f64()
+            .ok_or("`epsilon_spent_serving` is not a number")?;
+        if spent.to_bits() != 0.0f64.to_bits() {
+            return Err(format!("serving spent ε = {spent:?}"));
+        }
+    }
+    Ok(releases.len())
+}
+
+#[test]
+fn epsilon_free_check_compares_bits_not_text() {
+    let proof = |spent: &str, verified: &str| {
+        format!(
+            r#"[{{"id":"r","proof":{{"stages":2,"epsilon_spent_serving":{spent},"epsilon_spent_total":30,"ledger_entries":4,"verified":{verified}}}}}]"#
+        )
+    };
+    assert_eq!(check_epsilon_free(&proof("0", "true")), Ok(1));
+    // `0.5` starts with the text the old substring check looked for.
+    let half = proof("0.5", "true");
+    assert!(half.contains("\"epsilon_spent_serving\":0"));
+    assert!(check_epsilon_free(&half).is_err());
+    // Negative zero equals +0.0 under `==` but not bit for bit.
+    assert!(check_epsilon_free(&proof("-0", "true")).is_err());
+    assert!(check_epsilon_free(&proof("0", "false")).is_err());
+    assert!(check_epsilon_free("[]").is_err());
+    assert!(check_epsilon_free("not json").is_err());
+}
+
 #[test]
 fn daemon_serves_hostile_and_benign_queries_then_shuts_down_cleanly() {
     let handle = boot(2);
@@ -124,11 +179,7 @@ fn daemon_serves_hostile_and_benign_queries_then_shuts_down_cleanly() {
     // The ε-freeness proof verifies over the live ledger.
     let releases = get(addr, "/releases");
     assert!(releases.starts_with("HTTP/1.1 200"), "{releases}");
-    assert!(releases.contains("\"verified\":true"), "{releases}");
-    assert!(
-        releases.contains("\"epsilon_spent_serving\":0"),
-        "{releases}"
-    );
+    assert_eq!(check_epsilon_free(body(&releases)), Ok(1), "{releases}");
 
     // Clean cooperative shutdown through the wire.
     assert!(post(addr, "/shutdown", "").starts_with("HTTP/1.1 200"));

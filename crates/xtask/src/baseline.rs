@@ -42,7 +42,7 @@
 //! * `pool_utilization` — the phase span's `cpu_efficiency`
 //!   (cpu ÷ wall ÷ pool threads) stays above a floor derived from the
 //!   reference run. Skips with a named reason when the run carries no
-//!   resource attribution (`/proc` absent or `STPT_RESOURCES=0`).
+//!   resource attribution (`/proc` absent or sampling switched off).
 //! * `rss_ceiling` — the run's `process.peak_rss_bytes` gauge stays under a
 //!   ceiling (2× the reference peak). Same resource-availability skip.
 //!
@@ -351,7 +351,7 @@ impl Check {
                 None => Outcome::Skip {
                     reason: format!(
                         "resource sampling unavailable (no `cpu_efficiency` on `{span}`: \
-                         /proc absent or STPT_RESOURCES=0)"
+                         /proc absent or sampling switched off)"
                     ),
                 },
                 Some(obs) if obs >= *min => Outcome::Pass,
@@ -364,7 +364,7 @@ impl Check {
             CheckKind::RssCeiling { max_bytes } => match run.gauge("process.peak_rss_bytes") {
                 None => Outcome::Skip {
                     reason: "resource sampling unavailable (no `process.peak_rss_bytes` \
-                             gauge: /proc absent or STPT_RESOURCES=0)"
+                             gauge: /proc absent or sampling switched off)"
                         .to_owned(),
                 },
                 Some(obs) if obs <= *max_bytes => Outcome::Pass,
@@ -1316,8 +1316,8 @@ mod tests {
             Outcome::Fail { .. }
         ));
 
-        // A run whose resource layer was degraded (no /proc, or
-        // STPT_RESOURCES=0) skips both kinds with a named reason — it must
+        // A run whose resource layer was degraded (no /proc, or sampling
+        // switched off) skips both kinds with a named reason — it must
         // NOT fail even under --require-telemetry, because telemetry itself
         // is present.
         let mut degraded = run.clone();
@@ -1336,7 +1336,7 @@ mod tests {
             match check.evaluate(&degraded, strict) {
                 Outcome::Skip { reason } => {
                     assert!(reason.contains("resource sampling unavailable"), "{reason}");
-                    assert!(reason.contains("STPT_RESOURCES"), "{reason}");
+                    assert!(reason.contains("/proc absent"), "{reason}");
                 }
                 other => panic!("{}: expected Skip, got {other:?}", check.id),
             }

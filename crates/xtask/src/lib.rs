@@ -45,7 +45,6 @@ pub mod report;
 pub mod results;
 pub mod rules;
 pub mod scan;
-pub mod servegate;
 pub mod structural;
 pub mod syntax;
 

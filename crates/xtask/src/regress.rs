@@ -67,9 +67,6 @@ pub fn evaluate_workspace(root: &Path, opts: RegressOpts) -> Result<Vec<CheckRes
         let doc = BaselineDoc::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         out.extend(evaluate_baseline(&doc, &results_dir, opts));
     }
-    // The serve bench is a committed artifact, gated unconditionally
-    // (missing/unparseable is a failure, not a skip).
-    out.extend(crate::servegate::evaluate_serve_bench(root));
     Ok(out)
 }
 
@@ -129,10 +126,10 @@ pub fn evaluate_baseline(
     // Implicit telemetry-health rows — not committed in the baseline (old
     // baselines predate them), derived from the run document itself.
     //
-    // Dropped span events mean the flamegraph and span-share profile are
-    // incomplete: under `--require-telemetry` that is a hard failure naming
-    // the ring capacity to raise; otherwise it surfaces as a skip so local
-    // runs stay green but visible.
+    // Dropped span events mean the Chrome trace is incomplete: under
+    // `--require-telemetry` that is a hard failure naming the fixed ring
+    // capacity; otherwise it surfaces as a skip so local runs stay green
+    // but visible.
     if let Some(dropped) = run.events_dropped() {
         let outcome = if dropped == 0 {
             Outcome::Pass
@@ -143,7 +140,7 @@ pub fn evaluate_baseline(
                 .unwrap_or_else(|| "unknown".to_owned());
             let msg = format!(
                 "{dropped} span events dropped by the fixed-capacity event ring \
-                 (capacity {cap}) — raise STPT_TRACE_EVENT_CAP or shorten the run"
+                 (capacity {cap}) — shorten the traced run"
             );
             if opts.require_telemetry {
                 Outcome::Fail {
@@ -269,7 +266,7 @@ mod tests {
             Outcome::Skip { reason } => {
                 assert!(reason.contains("1234"), "{reason}");
                 assert!(reason.contains("65536"), "{reason}");
-                assert!(reason.contains("STPT_TRACE_EVENT_CAP"), "{reason}");
+                assert!(reason.contains("shorten the traced run"), "{reason}");
             }
             other => panic!("expected Skip, got {other:?}"),
         }
@@ -288,7 +285,7 @@ mod tests {
         match &row.outcome {
             Outcome::Fail { observed, .. } => {
                 assert!(observed.contains("capacity 65536"), "{observed}");
-                assert!(observed.contains("STPT_TRACE_EVENT_CAP"), "{observed}");
+                assert!(observed.contains("shorten the traced run"), "{observed}");
             }
             other => panic!("expected Fail, got {other:?}"),
         }
@@ -342,7 +339,7 @@ mod tests {
             match &row.outcome {
                 Outcome::Skip { reason } => {
                     assert!(reason.contains("resource sampling unavailable"), "{reason}");
-                    assert!(reason.contains("STPT_RESOURCES"), "{reason}");
+                    assert!(reason.contains("/proc absent"), "{reason}");
                 }
                 other => panic!("{id}: expected Skip, got {other:?}"),
             }

@@ -11,8 +11,9 @@
 //!   offending call chain.
 //! * **XT10 — hermeticity.** `std::env::var`/`var_os` outside the
 //!   designated choke points (`vendor/rayon`'s `STPT_THREADS` resolution,
-//!   `crates/obs`'s trace/telemetry/live-metrics toggles) makes runs
-//!   depend on ambient process state.
+//!   `stpt_obs::init_from_env` in `crates/obs/src/lib.rs` for the
+//!   trace/telemetry/live-metrics toggles) makes runs depend on ambient
+//!   process state.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -63,7 +64,7 @@ const XT09_POSTPROCESS_PREFIX: &str = "crates/postprocess/";
 
 /// File prefixes where `std::env::var` is the sanctioned configuration
 /// choke point.
-const XT10_CHOKE_POINTS: &[&str] = &["crates/obs/", "vendor/rayon/"];
+const XT10_CHOKE_POINTS: &[&str] = &["crates/obs/src/lib.rs", "vendor/rayon/"];
 
 /// Run all structural rules over the workspace. Diagnostics are
 /// *unfiltered* — the caller applies `xtask-allow` suppression.
@@ -567,8 +568,9 @@ fn xt10_hermeticity(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 line: tok.line,
                 message: format!(
                     "`env::{name}` outside the configuration choke points \
-                     (vendor/rayon STPT_THREADS, crates/obs \
-                     STPT_TRACE*/STPT_METRICS_*/STPT_RESOURCES/telemetry) \
+                     (vendor/rayon STPT_THREADS; `stpt_obs::init_from_env` \
+                     STPT_TRACE, STPT_TRACE_EVENTS, STPT_METRICS_ADDR, \
+                     STPT_TELEMETRY_DIR) \
                      — ambient env reads make runs non-hermetic; plumb the value \
                      through explicit config or justify with \
                      `// xtask-allow(XT10): <reason>`"

@@ -1,14 +1,14 @@
-//! Violating: the live-metrics env vars (`STPT_METRICS_ADDR`,
-//! `STPT_METRICS_PERIOD`) and the resource-sampling gate
-//! (`STPT_RESOURCES`) are sanctioned only inside `crates/obs` —
-//! reading them anywhere else would fork the exporter's configuration
-//! surface and break hermeticity.
+//! Violating: the live-metrics address (`STPT_METRICS_ADDR`) and the
+//! telemetry directory (`STPT_TELEMETRY_DIR`) are read only by
+//! `stpt_obs::init_from_env`, and a resource-sampling toggle
+//! (`STPT_RESOURCES`) read anywhere else would fork the exporter's
+//! configuration surface and break hermeticity.
 pub fn rogue_scrape_addr() -> Option<String> {
     std::env::var("STPT_METRICS_ADDR").ok()
 }
 
-pub fn rogue_period() -> bool {
-    std::env::var_os("STPT_METRICS_PERIOD").is_some()
+pub fn rogue_telemetry_dir() -> bool {
+    std::env::var_os("STPT_TELEMETRY_DIR").is_some()
 }
 
 pub fn rogue_resource_gate() -> bool {

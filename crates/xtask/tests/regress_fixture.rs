@@ -20,20 +20,11 @@ const ENVELOPE: &str = r#"{ "name": "fig7", "schema": 2, "created_unix": 1,
                  "ledger": { "check": { "total": 1.0, "replayed": 1.0, "spent": 1.0,
                                         "entries": 4, "consistent": true } } } }"#;
 
-/// The serve-bench gate is unconditional, so a complete fixture
-/// workspace must carry the committed artifact too.
-const SERVE_BENCH: &str = r#"{ "benchmark": "serve_bench",
-  "target_qps": 1000000.0, "best_qps": 2000000.0,
-  "zero_spend": { "verified": true, "epsilon_spent_serving": 0.0,
-                  "epsilon_spent_total": 30.0, "ledger_entries": 4 },
-  "results": [ { "threads": 1, "qps": 2000000.0, "batches": 10 } ] }"#;
-
 fn make_root(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("xtask_regress_fixture_{tag}"));
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(root.join("results")).unwrap();
     std::fs::create_dir_all(root.join("baselines")).unwrap();
-    std::fs::write(root.join("BENCH_serve.json"), SERVE_BENCH).unwrap();
     std::fs::write(root.join("results/fig7.json"), ENVELOPE).unwrap();
     let run = load_run(&root.join("results"), "fig7").unwrap();
     let (doc, warnings) = build(&run).unwrap();

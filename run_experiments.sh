@@ -31,8 +31,7 @@ for exp in table2 fig9 fig8d fig7 fig8ab fig8ef fig8c fig8g fig8h fig6 ablate fi
     exit "$rc"
   fi
   # Surface the run's memory high-water mark when the resource layer
-  # sampled it (traced runs with /proc readable and STPT_RESOURCES unset
-  # or non-zero).
+  # sampled it (traced runs with /proc readable).
   peak=$(grep -o '{ "name": "process.peak_rss_bytes", "value": [0-9.e+]* }' \
            results/telemetry/"$exp".json 2>/dev/null \
          | grep -o '[0-9.e+]*' | tail -1 || true)

@@ -104,7 +104,7 @@ fn ledger_telescopes_to_configured_epsilon_at_two_splits() {
     // The pipeline publishes its ledger into the global obs registry as a
     // side effect of the audit; start from a clean slate so this test never
     // observes (or leaks) state from neighbouring tests.
-    stpt_suite::obs::reset_for_tests();
+    stpt_suite::obs::reset();
     let mut rng = rand::rngs::StdRng::seed_from_u64(41);
     let mut spec = DatasetSpec::CER;
     spec.households = 200;
@@ -148,7 +148,7 @@ fn ledger_telescopes_to_configured_epsilon_at_two_splits() {
 fn overspent_or_mismatched_accountant_fails_closed() {
     // Audits publish to the global obs ledger registry; reset first (see
     // `ledger_telescopes_to_configured_epsilon_at_two_splits`).
-    stpt_suite::obs::reset_for_tests();
+    stpt_suite::obs::reset();
     let mut acc = BudgetAccountant::new(Epsilon::new(3.0));
     acc.spend_sequential_with("phase-a", Epsilon::new(1.0), SpendInfo::laplace(1.0))
         .unwrap();
@@ -174,7 +174,7 @@ fn overspent_or_mismatched_accountant_fails_closed() {
 /// verified, not assumed.
 #[test]
 fn budget_spent_inside_postprocess_bracket_fails_closed() {
-    stpt_suite::obs::reset_for_tests();
+    stpt_suite::obs::reset();
     let mut acc = BudgetAccountant::new(Epsilon::new(3.0));
     acc.spend_sequential_with("sanitize", Epsilon::new(1.0), SpendInfo::laplace(1.0))
         .unwrap();
