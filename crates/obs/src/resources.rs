@@ -2,10 +2,10 @@
 //!
 //! The logical instruments in this crate (spans, counters, the ledger) see
 //! only in-process facts. This module adds the physical side: resident-set
-//! size, process CPU time (utime + stime) and per-worker CPU time for the
-//! `stpt-worker-{i}` threads of the vendored pool, all read from the Linux
+//! size and process CPU time (utime + stime), both read from the Linux
 //! `/proc` filesystem with plain file I/O — no libc, no syscall wrappers,
-//! `forbid(unsafe_code)` stands.
+//! `forbid(unsafe_code)` stands. Per-worker time is the vendored pool's
+//! own `worker.{i}.busy_us`.
 //!
 //! # Degradation policy
 //!
@@ -23,25 +23,13 @@
 //! [`sample`] is called by the 1 s live sampler
 //! ([`crate::timeseries::start_collector`], so a `/metrics` scrape sees
 //! current RSS and CPU time) and is cheap enough for phase boundaries too:
-//! three small files under `/proc/self` plus one `task/` scan. CPU time is
-//! converted from clock ticks via `AT_CLKTCK` from `/proc/self/auxv`
-//! (fallback 100 Hz), RSS from pages via `AT_PAGESZ` (fallback 4096).
-//! Worker threads are scoped — they exist only while a `run_chunks` region
-//! executes — so the per-worker CPU series is best-effort: a tick that
-//! lands outside a parallel region sees no workers, and a re-spawned
-//! worker restarts its cumulative clock (handled by treating a backwards
-//! jump as a fresh incarnation).
+//! two small files under `/proc/self`. CPU time is converted from clock
+//! ticks via `AT_CLKTCK` from `/proc/self/auxv` (fallback 100 Hz), RSS from
+//! pages via `AT_PAGESZ` (fallback 4096).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// Worker indices tracked as individual counter series
-/// (`worker.{i}.cpu_ms`); higher indices fold into `worker.other.cpu_ms`.
-pub const MAX_TRACKED_WORKERS: usize = 8;
-
-/// Thread-name prefix of the vendored pool's scoped workers.
-pub const WORKER_PREFIX: &str = "stpt-worker-";
 
 /// Last sampled resident-set size in bytes.
 static RSS_BYTES: crate::Gauge = crate::Gauge::new("process.rss_bytes");
@@ -49,19 +37,6 @@ static RSS_BYTES: crate::Gauge = crate::Gauge::new("process.rss_bytes");
 static PEAK_RSS_BYTES: crate::Gauge = crate::Gauge::new("process.peak_rss_bytes");
 /// Cumulative process CPU time (utime + stime, all threads), milliseconds.
 static PROCESS_CPU_MS: crate::Counter = crate::Counter::new("process.cpu_ms");
-/// Per-worker CPU time for the first [`MAX_TRACKED_WORKERS`] pool workers.
-static WORKER_CPU_MS: [crate::Counter; MAX_TRACKED_WORKERS] = [
-    crate::Counter::new("worker.0.cpu_ms"),
-    crate::Counter::new("worker.1.cpu_ms"),
-    crate::Counter::new("worker.2.cpu_ms"),
-    crate::Counter::new("worker.3.cpu_ms"),
-    crate::Counter::new("worker.4.cpu_ms"),
-    crate::Counter::new("worker.5.cpu_ms"),
-    crate::Counter::new("worker.6.cpu_ms"),
-    crate::Counter::new("worker.7.cpu_ms"),
-];
-/// Overflow series for workers beyond [`MAX_TRACKED_WORKERS`].
-static WORKER_CPU_OVERFLOW_MS: crate::Counter = crate::Counter::new("worker.other.cpu_ms");
 
 /// Resource-sampling gate; on unless switched off in code.
 static GATE: AtomicBool = AtomicBool::new(true);
@@ -166,14 +141,6 @@ fn parse_stat_cpu_ticks(line: &str) -> Option<u64> {
     Some(utime.saturating_add(stime))
 }
 
-/// Extract the comm (thread name) between the first `(` and last `)` of a
-/// `/proc/*/stat` line.
-fn parse_stat_comm(line: &str) -> Option<&str> {
-    let start = line.find('(')? + 1;
-    let end = line.rfind(')')?;
-    line.get(start..end)
-}
-
 fn read_rss_bytes_at(root: &Path) -> Option<u64> {
     let text = std::fs::read_to_string(root.join("statm")).ok()?;
     let pages = parse_statm_resident_pages(&text)?;
@@ -199,35 +166,6 @@ pub fn process_cpu_secs() -> Option<f64> {
     process_cpu_ticks().map(|t| t as f64 / clock_ticks_per_sec() as f64)
 }
 
-/// Cumulative CPU ticks per live `stpt-worker-{i}` thread, from
-/// `/proc/self/task/*/stat`, as `(worker_index, ticks)` pairs. Scoped
-/// workers only exist inside parallel regions, so an empty vector is the
-/// common quiescent answer; `None` means the task directory itself was
-/// unreadable.
-pub fn worker_cpu_ticks() -> Option<Vec<(usize, u64)>> {
-    let dir = std::fs::read_dir(proc_root().join("task")).ok()?;
-    let mut out = Vec::new();
-    for entry in dir.flatten() {
-        let Ok(text) = std::fs::read_to_string(entry.path().join("stat")) else {
-            continue;
-        };
-        let Some(comm) = parse_stat_comm(&text) else {
-            continue;
-        };
-        let Some(idx) = comm.strip_prefix(WORKER_PREFIX) else {
-            continue;
-        };
-        let Ok(idx) = idx.parse::<usize>() else {
-            continue;
-        };
-        if let Some(ticks) = parse_stat_cpu_ticks(&text) {
-            out.push((idx, ticks));
-        }
-    }
-    out.sort_unstable();
-    Some(out)
-}
-
 // ---- sampler state -------------------------------------------------------
 
 #[derive(Default)]
@@ -236,10 +174,6 @@ struct SamplerState {
     prev_cpu_ticks: u64,
     /// Leftover ticks not yet large enough to emit a whole millisecond.
     cpu_ms_emitted: u64,
-    /// Per-worker cumulative ticks at the previous sample (index-keyed;
-    /// the overflow bucket keeps only a running total).
-    prev_worker_ticks: Vec<u64>,
-    prev_overflow_ticks: u64,
     /// Running peak of every RSS observation.
     peak_rss: u64,
 }
@@ -267,11 +201,11 @@ pub(crate) fn observe_rss() -> Option<u64> {
     Some(rss)
 }
 
-/// Take one resource sample into the metrics registry: RSS gauge + peak,
-/// process CPU counter delta, per-worker CPU counter deltas. No-op unless
-/// collection is on ([`crate::collecting`]), the gate is on and `/proc`
-/// is readable — so a disabled or degraded layer costs one atomic load
-/// plus (at worst) one failed `open`.
+/// Take one resource sample into the metrics registry: RSS gauge + peak
+/// and the process CPU counter delta. No-op unless collection is on
+/// ([`crate::collecting`]), the gate is on and `/proc` is readable — so a
+/// disabled or degraded layer costs one atomic load plus (at worst) one
+/// failed `open`.
 pub fn sample() {
     if !crate::collecting() || !available() {
         return;
@@ -288,31 +222,6 @@ pub fn sample() {
         if delta > 0 {
             PROCESS_CPU_MS.add(delta);
             st.cpu_ms_emitted = target_ms;
-        }
-    }
-    if let Some(workers) = worker_cpu_ticks() {
-        let mut st = state();
-        for (idx, ticks) in workers {
-            if idx < MAX_TRACKED_WORKERS {
-                if st.prev_worker_ticks.len() <= idx {
-                    st.prev_worker_ticks.resize(idx + 1, 0);
-                }
-                let prev = st.prev_worker_ticks[idx];
-                // A scoped worker re-spawned since the last tick restarts
-                // its clock; a backwards jump marks a fresh incarnation.
-                let delta = if ticks >= prev { ticks - prev } else { ticks };
-                st.prev_worker_ticks[idx] = ticks;
-                if delta > 0 {
-                    WORKER_CPU_MS[idx].add(ticks_to_ms(delta));
-                }
-            } else {
-                let prev = st.prev_overflow_ticks;
-                let delta = if ticks >= prev { ticks - prev } else { ticks };
-                st.prev_overflow_ticks = ticks;
-                if delta > 0 {
-                    WORKER_CPU_OVERFLOW_MS.add(ticks_to_ms(delta));
-                }
-            }
         }
     }
 }
@@ -345,7 +254,6 @@ mod tests {
         // comm may contain spaces and parens; fields count from the LAST ')'.
         let line = "42 (stpt worker) ) R 1 1 1 0 -1 4194304 100 0 0 0 7 3 0 0 20 0 1 0 100 1000 50";
         assert_eq!(parse_stat_cpu_ticks(line), Some(10));
-        assert_eq!(parse_stat_comm(line), Some("stpt worker) "));
         assert_eq!(parse_stat_cpu_ticks("1 (x)"), None);
         assert_eq!(parse_stat_cpu_ticks("no parens here"), None);
     }
@@ -371,8 +279,6 @@ mod tests {
         let t1 = process_cpu_ticks().unwrap();
         let t2 = process_cpu_ticks().unwrap();
         assert!(t2 >= t1, "cumulative CPU time is monotone");
-        // task/ scan must not error even with zero matching workers.
-        assert!(worker_cpu_ticks().is_some());
     }
 
     #[test]
@@ -383,7 +289,6 @@ mod tests {
         assert!(!available());
         assert_eq!(rss_bytes(), None);
         assert_eq!(process_cpu_ticks(), None);
-        assert_eq!(worker_cpu_ticks(), None);
         sample(); // must be a silent no-op
         set_proc_root_override(None);
     }

@@ -13,8 +13,7 @@ pub mod prefix;
 pub mod query;
 
 pub use metrics::{
-    default_rho, evaluate_release, evaluate_workload, evaluate_workload_with, relative_error,
-    WorkloadResult,
+    default_rho, evaluate_workload, evaluate_workload_with, relative_error, WorkloadResult,
 };
 pub use prefix::PrefixSum3D;
 pub use query::{generate_queries, InvalidRangeQuery, QueryClass, RangeQuery};

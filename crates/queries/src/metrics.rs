@@ -3,10 +3,8 @@
 
 use crate::prefix::PrefixSum3D;
 use crate::query::RangeQuery;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use stpt_data::ConsumptionMatrix;
-use stpt_postprocess::Release;
 
 /// Telemetry: total range queries evaluated across all workloads.
 static QUERIES_EVALUATED: stpt_obs::Counter = stpt_obs::Counter::new("queries.evaluated");
@@ -53,9 +51,9 @@ pub fn evaluate_workload(
 /// denominator floor `rho`, normally [`default_rho`] of the truth matrix)
 /// once per instance and reuse them across evaluations.
 ///
-/// Per-query errors are computed in parallel through the `rayon` seam;
-/// results are collected in query order and reduced sequentially, so the
-/// returned metrics are bit-identical at any `STPT_THREADS`.
+/// Per-query errors are computed and reduced in query order on the
+/// calling thread: each costs two O(1) table lookups, far less than
+/// starting a parallel region.
 pub fn evaluate_workload_with(
     truth_ps: &PrefixSum3D,
     rho: f64,
@@ -67,7 +65,7 @@ pub fn evaluate_workload_with(
     assert_eq!(truth_ps.shape(), sanitized.shape(), "matrix shapes differ");
     let ps_noisy = PrefixSum3D::new(sanitized);
     let mut errors: Vec<f64> = queries
-        .par_iter()
+        .iter()
         .map(|q| relative_error(truth_ps.range_sum(q), ps_noisy.range_sum(q), rho))
         .collect();
     let mre = errors.iter().sum::<f64>() / errors.len().max(1) as f64;
@@ -84,20 +82,6 @@ pub fn evaluate_workload_with(
         median_re,
         queries: queries.len(),
     }
-}
-
-/// [`evaluate_workload_with`] over a staged-pipeline [`Release`]: the
-/// evaluate stage of the release pipeline. Metrics are computed on the
-/// release's data regardless of stage — the `Release` value carries the
-/// stage tag so callers can attribute results to raw vs post-processed
-/// runs without re-deriving it.
-pub fn evaluate_release(
-    truth_ps: &PrefixSum3D,
-    rho: f64,
-    release: &Release,
-    queries: &[RangeQuery],
-) -> WorkloadResult {
-    evaluate_workload_with(truth_ps, rho, &release.data, queries)
 }
 
 /// Denominator floor: 0.1% of the matrix's total mass — the standard

@@ -4,9 +4,9 @@
 //! then answers spatio-temporal range queries over HTTP until a client
 //! posts `/shutdown`. All configuration comes from CLI flags — the
 //! daemon reads no configuration from the environment (the seam's
-//! `STPT_THREADS` sets how many threads answer a batch, never an
-//! answer), so its DP behaviour is fully determined by its argv
-//! (hermeticity rule XT10).
+//! `STPT_THREADS` only sizes the start-up training, never a release), so
+//! its DP behaviour is fully determined by its argv (hermeticity rule
+//! XT10).
 //!
 //! ```text
 //! stpt-serve --addr 127.0.0.1:7878 --dataset CER --grid 16 --hours 64 \

@@ -1,6 +1,5 @@
-//! Batch query evaluation through the `rayon` thread-pool seam.
+//! Batch query evaluation over one release's prefix-sum table.
 
-use rayon::prelude::*;
 use stpt_queries::{InvalidRangeQuery, PrefixSum3D, RangeQuery};
 
 /// Telemetry: range queries answered (valid or rejected) by the engine.
@@ -11,19 +10,16 @@ static QUERIES_TOTAL: stpt_obs::Counter = stpt_obs::Counter::new("serve.queries_
 ///
 /// Every query goes through the fallible
 /// [`PrefixSum3D::try_range_sum`] — hostile ranges come back as
-/// `Err(InvalidRangeQuery)` entries, never panics. Evaluation fans out
-/// through the `rayon` seam with an order-preserving collect and a
-/// sequential-free reduction per query, so the result vector is
-/// bit-identical at any `STPT_THREADS` setting.
+/// `Err(InvalidRangeQuery)` entries, never panics. A query is an O(1)
+/// lookup in the table, far cheaper than starting a parallel region, so
+/// the batch is answered in order on the calling thread; the daemon
+/// answers batches concurrently on its acceptor threads instead.
 pub fn answer_batch(
     prefix: &PrefixSum3D,
     queries: &[RangeQuery],
 ) -> Vec<Result<f64, InvalidRangeQuery>> {
     QUERIES_TOTAL.add(queries.len() as u64);
-    queries
-        .par_iter()
-        .map(|q| prefix.try_range_sum(q))
-        .collect()
+    queries.iter().map(|q| prefix.try_range_sum(q)).collect()
 }
 
 #[cfg(test)]
@@ -49,26 +45,6 @@ mod tests {
         for (q, a) in queries.iter().zip(&batch) {
             let serial = ps.try_range_sum(q).expect("generated queries are valid");
             assert!(a.as_ref().expect("valid").to_bits() == serial.to_bits());
-        }
-    }
-
-    #[test]
-    fn batch_is_bit_identical_across_thread_counts() {
-        let ps = table(3);
-        let mut rng = StdRng::seed_from_u64(4);
-        let queries = generate_queries(QueryClass::Random, 500, ps.shape(), &mut rng);
-        rayon::set_num_threads(1);
-        let single = answer_batch(&ps, &queries);
-        rayon::set_num_threads(4);
-        let multi = answer_batch(&ps, &queries);
-        rayon::set_num_threads(0);
-        assert_eq!(single.len(), multi.len());
-        for (a, b) in single.iter().zip(&multi) {
-            match (a, b) {
-                (Ok(x), Ok(y)) => assert!(x.to_bits() == y.to_bits()),
-                (Err(x), Err(y)) => assert_eq!(x, y),
-                other => panic!("divergent results across thread counts: {other:?}"),
-            }
         }
     }
 

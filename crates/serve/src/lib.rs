@@ -27,9 +27,8 @@
 //! validating `Deserialize` impl (rejects empty/inverted ranges), bounds
 //! are checked by the fallible
 //! [`stpt_queries::PrefixSum3D::try_range_sum`], and malformed requests
-//! are answered `400`/`413`, never unwound. Batch evaluation fans out
-//! through the `rayon` seam with order-preserving collection, so answers
-//! are bit-identical at any `STPT_THREADS`.
+//! are answered `400`/`413`, never unwound. A batch is answered in order
+//! on the acceptor thread that read it.
 
 #![forbid(unsafe_code)]
 

@@ -2,13 +2,12 @@
 //! request reading, clean shutdown.
 //!
 //! Each acceptor owns a clone of the listener and handles accepted
-//! connections inline — query evaluation already fans out through the
-//! `rayon` seam inside [`crate::answer_batch`], so one OS thread per
-//! in-flight connection is enough to keep the pool fed. Shutdown is
-//! cooperative: `POST /shutdown` (or [`ServeHandle::shutdown`]) raises
-//! the flag, and each acceptor that observes it makes one wake
-//! connection so the next blocked `accept` returns and the cascade
-//! drains every thread.
+//! connections inline, answering their batches on its own thread
+//! ([`crate::answer_batch`]), so N acceptors serve N connections at once.
+//! Shutdown is cooperative: `POST /shutdown` (or [`ServeHandle::shutdown`])
+//! raises the flag, and each acceptor that observes it makes one wake
+//! connection so the next blocked `accept` returns and the cascade drains
+//! every thread.
 
 use crate::http::{handle_request, ServerState};
 use crate::release::ServeError;
