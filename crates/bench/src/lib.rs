@@ -59,10 +59,10 @@ impl ExperimentEnv {
     /// starts the process wall-clock used by the `bench.wall_secs` gauge.
     pub fn from_env() -> Self {
         PROCESS_START.get_or_init(Instant::now);
-        // The observability gates, the telemetry directory and the
-        // Prometheus scrape listener (STPT_TRACE*, STPT_TELEMETRY_DIR,
-        // STPT_METRICS_ADDR). Strictly read-only over results — envelopes
-        // are byte-identical with the exporter on or off (checked in CI).
+        // The observability gates and the Prometheus scrape listener
+        // (STPT_TRACE*, STPT_METRICS_ADDR). Strictly read-only over results
+        // — envelopes are byte-identical with the exporter on or off
+        // (checked in CI).
         stpt_obs::init_from_env();
         let get = |k: &str, d: usize| {
             // xtask-allow(XT10): the one sanctioned scale-knob reader — every value read here is recorded in the result envelope, keeping runs attributable
@@ -281,12 +281,10 @@ pub const ENVELOPE_SCHEMA: u32 = 2;
 /// Every bench binary routes its machine-readable output through this one
 /// helper: the payload is wrapped in an envelope carrying the envelope
 /// schema version, a creation timestamp (unix seconds), the experiment
-/// scale ([`ExperimentEnv`]) and — when `STPT_TRACE` is on — the run's
-/// telemetry snapshot (spans, metrics, budget ledger verdict; the per-draw
-/// ledger audit trail is elided from the envelope). The full snapshot is
-/// written standalone under `results/telemetry/<name>.json`, and when
-/// `STPT_TRACE_EVENTS` is on the timestamped span events land next to it
-/// as a Chrome trace (`results/telemetry/<name>.trace.json`).
+/// scale ([`ExperimentEnv`]) and — when `STPT_TRACE` is on — the run's one
+/// telemetry document (spans, metrics, budget ledger verdict). When
+/// `STPT_TRACE_EVENTS` is on the timestamped span events are also written
+/// as a Chrome trace to `results/telemetry/<name>.trace.json`.
 pub fn emit_result<T: Serialize>(name: &str, env: &ExperimentEnv, value: &T) {
     let dir = std::path::Path::new("results");
     if std::fs::create_dir_all(dir).is_err() {
@@ -318,11 +316,8 @@ pub fn emit_result<T: Serialize>(name: &str, env: &ExperimentEnv, value: &T) {
     stpt_obs::resources::sample();
     // The telemetry document is produced by stpt-obs's dependency-free
     // writer, so it is spliced in as a pre-rendered JSON fragment.
-    // The per-draw ledger audit trail is megabytes at experiment scale, so
-    // the envelope inlines the summary (aggregate ledger verdict only); the
-    // full trail lives in the standalone telemetry file written below.
     let telemetry = if stpt_obs::enabled() {
-        stpt_obs::export::telemetry_summary_json(name)
+        stpt_obs::export::telemetry_json(name)
     } else {
         "null".to_string()
     };
@@ -333,11 +328,15 @@ pub fn emit_result<T: Serialize>(name: &str, env: &ExperimentEnv, value: &T) {
     if let Err(e) = std::fs::write(&path, doc) {
         stpt_obs::diag!("warning: could not write {}: {e}", path.display());
     }
-    if let Some(tpath) = stpt_obs::export::write_telemetry(name) {
-        stpt_obs::diag!("telemetry: wrote {}", tpath.display());
-    }
-    if let Some(tpath) = stpt_obs::export::write_chrome_trace(name) {
-        stpt_obs::diag!("telemetry: wrote {}", tpath.display());
+    if stpt_obs::events_enabled() {
+        let tdir = dir.join("telemetry");
+        let tpath = tdir.join(format!("{name}.trace.json"));
+        match std::fs::create_dir_all(&tdir)
+            .and_then(|()| std::fs::write(&tpath, stpt_obs::export::chrome_trace_json(name)))
+        {
+            Ok(()) => stpt_obs::diag!("telemetry: wrote {}", tpath.display()),
+            Err(e) => stpt_obs::diag!("warning: could not write {}: {e}", tpath.display()),
+        }
     }
 }
 

@@ -451,9 +451,9 @@ impl BudgetAccountant {
     ///    so demanding bit-exactness against the configured total would
     ///    reject correct runs).
     ///
-    /// On success the ledger and its [`LedgerCheck`] are published to
-    /// `stpt-obs` for telemetry export (a no-op unless `STPT_TRACE` is on)
-    /// and the check is returned. On failure returns
+    /// On success the [`LedgerCheck`] and the post-processing proofs are
+    /// published to `stpt-obs` for telemetry export (a no-op unless
+    /// `STPT_TRACE` is on) and the check is returned. On failure returns
     /// [`DpError::AuditFailed`] — a failed audit means the ledger and the
     /// accountant disagree, i.e. some spend bypassed the ledger or the
     /// composition arithmetic is broken, and the release must not be
@@ -541,7 +541,7 @@ impl BudgetAccountant {
                 ),
             });
         }
-        stpt_obs::ledger::publish_ledger(self.ledger.clone(), self.proofs.clone(), check);
+        stpt_obs::ledger::publish_ledger(&self.proofs, check);
         Ok(check)
     }
 

@@ -3,7 +3,7 @@
 //! The aggregate span table ([`crate::trace`]) answers "where did the time
 //! go in total"; this module answers "when" — every span entry/exit is
 //! recorded as a [`TraceEvent`] with a monotone per-process timestamp and a
-//! per-thread track id, ready for [`crate::export::write_chrome_trace`] to
+//! per-thread track id, ready for [`crate::export::chrome_trace_json`] to
 //! turn into a Chrome `trace_event` document.
 //!
 //! Recording is gated by `STPT_TRACE_EVENTS` (see [`crate::events_enabled`])
@@ -126,6 +126,11 @@ pub fn snapshot() -> Vec<TraceEvent> {
     buffer().clone()
 }
 
+/// Number of events in the buffer, without copying them.
+pub fn recorded() -> usize {
+    buffer().len()
+}
+
 /// Number of events dropped because the buffer was full.
 pub fn dropped() -> u64 {
     DROPPED.load(Ordering::Relaxed)
@@ -155,6 +160,7 @@ mod tests {
         }
         crate::set_events_enabled(false);
         let events = snapshot();
+        assert_eq!(recorded(), 4);
         reset();
         assert_eq!(events.len(), 4);
         assert_eq!(events[0].phase, EventPhase::Begin);

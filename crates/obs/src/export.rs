@@ -1,49 +1,36 @@
-//! Telemetry JSON export.
+//! Telemetry JSON rendering.
 //!
 //! Serialisation is hand-rolled (this crate is dependency-free by design)
-//! and emits a single self-describing document per run:
+//! and produces two documents, neither of which touches the file system:
 //!
-//! ```json
-//! {
-//!   "run": "table2",
-//!   "spans": [ { "path": "stpt/pattern", "count": 3, "total_ms": 1.2 } ],
-//!   "counters": [ { "name": "dp.noise_draws.laplace", "value": 96 } ],
-//!   "gauges": [ { "name": "nn.windows_per_sec", "value": 1234.5 } ],
-//!   "histograms": [ { "name": "nn.grad_norm", "count": 8, "sum": 3.1,
-//!                     "buckets": [ [0.25, 5], [0.5, 3] ] } ],
-//!   "ledger": { "check": { ... }, "entries": [ ... ] }
-//! }
-//! ```
+//! * [`telemetry_json`] — the run's one telemetry document, inlined by
+//!   `stpt_bench::emit_result` as the `telemetry` block of
+//!   `results/<run>.json`:
 //!
-//! Files land under `results/telemetry/<run>.json` (override the directory
-//! with `STPT_TELEMETRY_DIR`, read by [`crate::init_from_env`]). Non-finite
-//! floats serialise as `null` — JSON has no NaN/Inf and a telemetry reader
-//! must see *that it happened* rather than a parse error.
+//!   ```json
+//!   {
+//!     "run": "table2",
+//!     "spans": [ { "path": "stpt/pattern", "count": 3, "total_ms": 1.2 } ],
+//!     "counters": [ { "name": "dp.noise_draws.laplace", "value": 96 } ],
+//!     "gauges": [ { "name": "nn.windows_per_sec", "value": 1234.5 } ],
+//!     "histograms": [ { "name": "nn.grad_norm", "count": 8, "sum": 3.1,
+//!                       "buckets": [ [0.25, 5], [0.5, 3] ] } ],
+//!     "events": { "recorded": 0, "dropped": 0, "capacity": 65536 },
+//!     "ledger": { "check": { ... }, "proofs": [ ... ], "runs": 1 }
+//!   }
+//!   ```
+//!
+//! * [`chrome_trace_json`] — the span events as a Chrome trace, which the
+//!   caller writes next to the envelope.
+//!
+//! Non-finite floats serialise as `null` — JSON has no NaN/Inf and a
+//! telemetry reader must see *that it happened* rather than a parse error.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
 use crate::ledger;
 use crate::metrics;
 use crate::trace;
-
-/// Default output directory, relative to the working directory.
-pub const DEFAULT_DIR: &str = "results/telemetry";
-
-/// Output directory when `STPT_TELEMETRY_DIR` was set.
-static DIR: OnceLock<PathBuf> = OnceLock::new();
-
-/// Point [`write_telemetry`] and [`write_chrome_trace`] at `dir` instead of
-/// [`DEFAULT_DIR`]. Called by [`crate::init_from_env`]; the first call wins.
-pub(crate) fn set_dir(dir: String) {
-    let _ = DIR.set(PathBuf::from(dir));
-}
-
-fn dir() -> &'static Path {
-    DIR.get().map_or(Path::new(DEFAULT_DIR), PathBuf::as_path)
-}
 
 /// Escape a string for a JSON string literal (without the quotes).
 fn json_escape(s: &str) -> String {
@@ -79,23 +66,11 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// Render the full telemetry document for a run label, including the
-/// per-draw ledger audit trail.
+/// Render the telemetry document for a run label: spans, metrics, event
+/// ring health and the budget ledger's audit verdict with its
+/// post-processing proofs. The per-draw ledger entries are not rendered;
+/// they stay with the release (`Release.ledger`).
 pub fn telemetry_json(run: &str) -> String {
-    render_telemetry(run, true)
-}
-
-/// Render the telemetry document without the per-draw ledger `entries`
-/// (the aggregate `check` verdict is kept, `entries` becomes `null`).
-///
-/// The audit trail grows with one entry per noise draw — megabytes at
-/// experiment scale — so result envelopes inline this summary and point at
-/// the standalone `results/telemetry/<run>.json` for the full trail.
-pub fn telemetry_summary_json(run: &str) -> String {
-    render_telemetry(run, false)
-}
-
-fn render_telemetry(run: &str, ledger_entries: bool) -> String {
     let spans = trace::snapshot();
     let metrics::MetricsSnapshot {
         counters,
@@ -229,14 +204,14 @@ fn render_telemetry(run: &str, ledger_entries: bool) -> String {
     let _ = writeln!(
         out,
         "  \"events\": {{ \"recorded\": {}, \"dropped\": {}, \"capacity\": {} }},",
-        crate::events::snapshot().len(),
+        crate::events::recorded(),
         crate::events::dropped(),
         crate::events::CAPACITY
     );
 
     match published {
         None => out.push_str("  \"ledger\": null\n"),
-        Some((entries, proofs, check)) => {
+        Some((proofs, check)) => {
             out.push_str("  \"ledger\": {\n");
             let _ = writeln!(
                 out,
@@ -271,90 +246,13 @@ fn render_telemetry(run: &str, ledger_entries: bool) -> String {
             } else {
                 "\n    ],\n"
             });
-            let _ = writeln!(out, "    \"runs\": {},", ledger::published_runs());
-            if ledger_entries {
-                out.push_str("    \"entries\": [");
-                for (i, e) in entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let sibling = match &e.sibling {
-                        Some(s) => format!("\"{}\"", json_escape(s)),
-                        None => "null".to_owned(),
-                    };
-                    let _ = write!(
-                        out,
-                        "\n      {{ \"phase\": \"{}\", \"sibling\": {}, \"mechanism\": \"{}\", \
-                         \"epsilon\": {}, \"sensitivity\": {}, \"kind\": \"{}\" }}",
-                        json_escape(&e.phase),
-                        sibling,
-                        json_escape(e.mechanism),
-                        json_f64(e.epsilon),
-                        json_f64(e.sensitivity),
-                        e.kind.label()
-                    );
-                }
-                out.push_str(if entries.is_empty() {
-                    "]\n"
-                } else {
-                    "\n    ]\n"
-                });
-            } else {
-                out.push_str("    \"entries\": null\n");
-            }
+            let _ = writeln!(out, "    \"runs\": {}", ledger::published_runs());
             out.push_str("  }\n");
         }
     }
     out.push('}');
     out.push('\n');
     out
-}
-
-/// Sanitise a run label into a filename stem.
-fn file_stem(run: &str) -> String {
-    let stem: String = run
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if stem.is_empty() {
-        "run".to_owned()
-    } else {
-        stem
-    }
-}
-
-/// Write the telemetry document for `run` into `dir` (created if missing).
-pub fn write_telemetry_to(dir: &Path, run: &str) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{}.json", file_stem(run)));
-    std::fs::write(&path, telemetry_json(run))?;
-    Ok(path)
-}
-
-/// Write the telemetry document for `run` under `STPT_TELEMETRY_DIR` (or
-/// [`DEFAULT_DIR`]). Returns `None` when the gate is off or the write
-/// fails — telemetry must never take down the run it observes; failures
-/// are reported on stderr instead.
-pub fn write_telemetry(run: &str) -> Option<PathBuf> {
-    if !crate::enabled() {
-        return None;
-    }
-    match write_telemetry_to(dir(), run) {
-        Ok(path) => Some(path),
-        Err(err) => {
-            crate::diag!(
-                "telemetry: failed to write {}/{run}.json: {err}",
-                dir().display()
-            );
-            None
-        }
-    }
 }
 
 /// Render the recorded span events ([`crate::events`]) as a Chrome
@@ -483,38 +381,10 @@ pub fn chrome_trace_json(run: &str) -> String {
     out
 }
 
-/// Write the Chrome trace for `run` into `dir` as `<run>.trace.json`.
-pub fn write_chrome_trace_to(dir: &Path, run: &str) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{}.trace.json", file_stem(run)));
-    std::fs::write(&path, chrome_trace_json(run))?;
-    Ok(path)
-}
-
-/// Write the Chrome trace for `run` under `STPT_TELEMETRY_DIR` (or
-/// [`DEFAULT_DIR`]). Returns `None` when the events gate is off or the
-/// write fails — like [`write_telemetry`], export must never take down the
-/// run it observes.
-pub fn write_chrome_trace(run: &str) -> Option<PathBuf> {
-    if !crate::events_enabled() {
-        return None;
-    }
-    match write_chrome_trace_to(dir(), run) {
-        Ok(path) => Some(path),
-        Err(err) => {
-            crate::diag!(
-                "telemetry: failed to write {}/{run}.trace.json: {err}",
-                dir().display()
-            );
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger::{Composition, LedgerCheck, LedgerEntry, PostProcessProof};
+    use crate::ledger::{LedgerCheck, PostProcessProof};
 
     #[test]
     fn json_f64_handles_degenerate_values() {
@@ -539,15 +409,7 @@ mod tests {
             let _s = crate::span!("export_test");
         }
         crate::ledger::publish_ledger(
-            vec![LedgerEntry {
-                phase: "pattern".to_owned(),
-                sibling: Some("n0".to_owned()),
-                mechanism: "laplace",
-                epsilon: 0.5,
-                sensitivity: 1.0,
-                kind: Composition::Parallel,
-            }],
-            vec![PostProcessProof {
+            &[PostProcessProof {
                 stage: "consistency".to_owned(),
                 epsilon: 0.0,
                 spends_during: 0,
@@ -572,7 +434,6 @@ mod tests {
         assert!(doc.contains("\"noise\": \"consistent\""));
         assert!(doc.contains("\"events\": { \"recorded\": "));
         assert!(doc.contains("\"capacity\": "));
-        assert!(doc.contains("\"kind\": \"parallel\""));
         assert!(doc.contains("\"postprocess\": 1"));
         assert!(doc.contains("\"stage\": \"consistency\""));
         assert!(doc.contains("\"spends_during\": 0"));
@@ -604,18 +465,5 @@ mod tests {
         assert!(doc.contains("\"cpu_secs\": "), "{doc}");
         assert!(doc.contains("\"cpu_efficiency\": "), "{doc}");
         assert!(doc.contains("\"peak_rss_bytes\": "), "{doc}");
-    }
-
-    #[test]
-    fn write_telemetry_to_creates_the_file() {
-        let _lock = crate::test_lock();
-        crate::set_enabled(false);
-        crate::reset();
-        let dir = std::env::temp_dir().join("stpt_obs_export_test");
-        let path = write_telemetry_to(&dir, "smoke run").expect("write");
-        assert!(path.ends_with("smoke_run.json"));
-        let body = std::fs::read_to_string(&path).expect("read back");
-        assert!(body.contains("\"ledger\": null"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,9 +3,10 @@
 //! `stpt-dp`'s `BudgetAccountant` records one [`LedgerEntry`] per spend
 //! and, when a run finishes, replays the ledger to verify it telescopes to
 //! the configured total ε (the runtime form of the sequential/parallel
-//! composition theorems). The accountant owns the ledger; this module only
-//! *publishes* the final ledger plus its [`LedgerCheck`] so telemetry
-//! exports can carry the verified composition argument.
+//! composition theorems). The accountant owns the ledger, and the release
+//! carries it; this module only *publishes* the audit's [`LedgerCheck`]
+//! and post-processing proofs so the telemetry document can carry the
+//! verified composition argument.
 //!
 //! Publication is gated by the global `STPT_TRACE` switch like everything
 //! else in this crate — but the *recording and checking* in `stpt-dp` is
@@ -21,16 +22,6 @@ pub enum Composition {
     /// Parallel composition (Thm. 2): ε is the max across disjoint
     /// siblings within a phase.
     Parallel,
-}
-
-impl Composition {
-    /// Stable lowercase label for export.
-    pub fn label(self) -> &'static str {
-        match self {
-            Composition::Sequential => "sequential",
-            Composition::Parallel => "parallel",
-        }
-    }
 }
 
 /// One recorded budget spend.
@@ -97,11 +88,11 @@ pub struct LedgerCheck {
 /// (one per run/repetition). A bench bin audits once per repetition; under
 /// parallel repetitions "last publication wins" would make the exported
 /// ledger depend on thread scheduling. Instead the slot keeps the
-/// *canonical* run — the minimum under a total order on bit-level content
-/// ([`run_order`]) — plus the AND of every run's `consistent` verdict, so
-/// the snapshot is identical at any `STPT_THREADS`.
+/// *canonical* run — the minimum under a total order on every exported
+/// field ([`run_order`]) — plus the AND of every run's `consistent`
+/// verdict, so the snapshot is identical at any `STPT_THREADS`.
 struct Published {
-    /// Entries + proofs + check of the canonical (order-minimal) run.
+    /// Proofs + check of the canonical (order-minimal) run.
     canonical: Option<PublishedRun>,
     /// AND of every published check's `consistent` flag.
     all_consistent: bool,
@@ -124,21 +115,9 @@ fn slot() -> MutexGuard<'static, Published> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// One published run: its ledger, its post-processing proofs, and the
-/// audit verdict.
-pub type PublishedRun = (Vec<LedgerEntry>, Vec<PostProcessProof>, LedgerCheck);
-
-/// Bit-level content key of one entry, for the canonical-run total order.
-fn entry_key(e: &LedgerEntry) -> (&str, Option<&str>, &str, u64, u64, &'static str) {
-    (
-        e.phase.as_str(),
-        e.sibling.as_deref(),
-        e.mechanism,
-        e.epsilon.to_bits(),
-        e.sensitivity.to_bits(),
-        e.kind.label(),
-    )
-}
+/// One published run: its post-processing proofs and the audit verdict.
+/// The per-draw entries stay with the release that produced them.
+pub type PublishedRun = (Vec<PostProcessProof>, LedgerCheck);
 
 /// Bit-level content key of one post-processing proof.
 fn proof_key(p: &PostProcessProof) -> (&str, u64, usize, usize) {
@@ -150,42 +129,41 @@ fn proof_key(p: &PostProcessProof) -> (&str, u64, usize, usize) {
     )
 }
 
-/// Total order on published runs by content, never by publication time:
-/// scalar check fields first (cheap), then the entry and proof lists
-/// lexicographically. Using `to_bits` keeps the order total (no NaN holes)
-/// and exact.
+/// Total order on published runs by exported content, never by
+/// publication time: the check's fields first, then the proof list
+/// lexicographically. Two runs that tie here export the same bytes
+/// (`consistent` is exported as the merged AND, not per run). Using
+/// `to_bits` keeps the order total (no NaN holes) and exact.
 fn run_order(a: &PublishedRun, b: &PublishedRun) -> std::cmp::Ordering {
-    let scalar = |(entries, proofs, check): &PublishedRun| {
+    let scalar = |(proofs, check): &PublishedRun| {
         (
-            entries.len(),
+            check.entries,
             proofs.len(),
             check.total.to_bits(),
             check.replayed.to_bits(),
             check.spent.to_bits(),
+            check.postprocess_stages,
+            check.noise.label(),
         )
     };
     scalar(a)
         .cmp(&scalar(b))
-        .then_with(|| a.0.iter().map(entry_key).cmp(b.0.iter().map(entry_key)))
-        .then_with(|| a.1.iter().map(proof_key).cmp(b.1.iter().map(proof_key)))
+        .then_with(|| a.0.iter().map(proof_key).cmp(b.0.iter().map(proof_key)))
 }
 
-/// Publish a run's finished ledger and its audit verdict for export.
-/// No-op when the gate is off. Publications merge deterministically: the
-/// snapshot keeps the content-minimal run and ANDs all `consistent` flags,
-/// so concurrent runs yield the same export regardless of arrival order.
-pub fn publish_ledger(
-    entries: Vec<LedgerEntry>,
-    proofs: Vec<PostProcessProof>,
-    check: LedgerCheck,
-) {
+/// Publish a run's post-processing proofs and its audit verdict for
+/// export. No-op when the gate is off. Publications merge
+/// deterministically: the snapshot keeps the content-minimal run and ANDs
+/// all `consistent` flags, so concurrent runs yield the same export
+/// regardless of arrival order.
+pub fn publish_ledger(proofs: &[PostProcessProof], check: LedgerCheck) {
     if !crate::enabled() {
         return;
     }
     let mut slot = slot();
     slot.runs += 1;
     slot.all_consistent &= check.consistent;
-    let candidate = (entries, proofs, check);
+    let candidate = (proofs.to_vec(), check);
     let replace = match &slot.canonical {
         None => true,
         Some(current) => run_order(&candidate, current) == std::cmp::Ordering::Less,
@@ -195,13 +173,12 @@ pub fn publish_ledger(
     }
 }
 
-/// The canonical published ledger, if any. The returned check carries the
+/// The canonical published run, if any. The returned check carries the
 /// merged verdict: `consistent` is true only if *every* published run was.
 pub fn ledger_snapshot() -> Option<PublishedRun> {
     let slot = slot();
-    slot.canonical.as_ref().map(|(entries, proofs, check)| {
+    slot.canonical.as_ref().map(|(proofs, check)| {
         (
-            entries.clone(),
             proofs.clone(),
             LedgerCheck {
                 consistent: slot.all_consistent,
@@ -216,7 +193,7 @@ pub fn published_runs() -> usize {
     slot().runs
 }
 
-/// Drop any published ledger and reset the merge state.
+/// Drop any published run and reset the merge state.
 pub fn reset() {
     let mut slot = slot();
     slot.canonical = None;
@@ -228,14 +205,15 @@ pub fn reset() {
 mod tests {
     use super::*;
 
-    fn entry(phase: &str, eps: f64) -> LedgerEntry {
-        LedgerEntry {
-            phase: phase.to_owned(),
-            sibling: None,
-            mechanism: "laplace",
-            epsilon: eps,
-            sensitivity: 1.0,
-            kind: Composition::Sequential,
+    fn check(eps: f64, ok: bool, noise: crate::NoiseStatus) -> LedgerCheck {
+        LedgerCheck {
+            total: eps,
+            replayed: eps,
+            spent: eps,
+            entries: 1,
+            postprocess_stages: 0,
+            consistent: ok,
+            noise,
         }
     }
 
@@ -244,25 +222,12 @@ mod tests {
         let _lock = crate::test_lock();
         crate::set_enabled(false);
         reset();
-        publish_ledger(
-            vec![entry("ghost", 1.0)],
-            Vec::new(),
-            LedgerCheck {
-                total: 1.0,
-                replayed: 1.0,
-                spent: 1.0,
-                entries: 1,
-                postprocess_stages: 0,
-                consistent: true,
-                noise: crate::NoiseStatus::Unchecked,
-            },
-        );
+        publish_ledger(&[], check(1.0, true, crate::NoiseStatus::Unchecked));
         assert!(ledger_snapshot().is_none());
 
         crate::set_enabled(true);
         publish_ledger(
-            vec![entry("pattern", 0.5), entry("sanitize", 0.5)],
-            vec![PostProcessProof {
+            &[PostProcessProof {
                 stage: "consistency".to_owned(),
                 epsilon: 0.0,
                 spends_during: 0,
@@ -279,8 +244,7 @@ mod tests {
             },
         );
         crate::set_enabled(false);
-        let (entries, proofs, check) = ledger_snapshot().expect("published");
-        assert_eq!(entries.len(), 2);
+        let (proofs, check) = ledger_snapshot().expect("published");
         assert!(check.consistent);
         assert_eq!(check.entries, 2);
         assert_eq!(check.postprocess_stages, 1);
@@ -295,36 +259,35 @@ mod tests {
     fn merge_is_publication_order_independent_and_ands_consistency() {
         let _lock = crate::test_lock();
         crate::set_enabled(true);
-        let check = |eps: f64, ok: bool| LedgerCheck {
-            total: eps,
-            replayed: eps,
-            spent: eps,
-            entries: 1,
-            postprocess_stages: 0,
-            consistent: ok,
-            noise: crate::NoiseStatus::Unchecked,
+        // Publish two runs in both orders; return the merged snapshot of
+        // each order, rendered in full.
+        let both_orders = |a: LedgerCheck, b: LedgerCheck| {
+            [(a, b), (b, a)].map(|(first, second)| {
+                reset();
+                publish_ledger(&[], first);
+                publish_ledger(&[], second);
+                assert_eq!(published_runs(), 2);
+                format!("{:?}", ledger_snapshot().expect("published"))
+            })
         };
-        let a = (vec![entry("alpha", 0.25)], check(0.25, true));
-        let b = (vec![entry("beta", 0.5)], check(0.5, false));
-
-        reset();
-        publish_ledger(a.0.clone(), Vec::new(), a.1);
-        publish_ledger(b.0.clone(), Vec::new(), b.1);
-        assert_eq!(published_runs(), 2);
-        let forward = ledger_snapshot().expect("published");
-
-        reset();
-        publish_ledger(b.0.clone(), Vec::new(), b.1);
-        publish_ledger(a.0.clone(), Vec::new(), a.1);
-        let reversed = ledger_snapshot().expect("published");
-        crate::set_enabled(false);
-        reset();
 
         // Same canonical run either way, and one bad run poisons the
         // merged verdict.
-        assert_eq!(forward.0[0].phase, reversed.0[0].phase);
-        assert_eq!(forward.2.total.to_bits(), reversed.2.total.to_bits());
-        assert!(!forward.2.consistent);
-        assert!(!reversed.2.consistent);
+        let unchecked = crate::NoiseStatus::Unchecked;
+        let [forward, reversed] =
+            both_orders(check(0.25, true, unchecked), check(0.5, false, unchecked));
+        assert_eq!(forward, reversed);
+        assert!(forward.contains("total: 0.25"), "{forward}");
+        assert!(forward.contains("consistent: false"), "{forward}");
+
+        // Two runs equal on every exported field but the noise verdict
+        // still export one document whichever is published first.
+        let consistent = crate::NoiseStatus::Consistent;
+        let [forward, reversed] =
+            both_orders(check(0.5, true, consistent), check(0.5, true, unchecked));
+        assert_eq!(forward, reversed);
+        assert!(forward.contains("noise: Consistent"), "{forward}");
+        crate::set_enabled(false);
+        reset();
     }
 }

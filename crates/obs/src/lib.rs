@@ -19,8 +19,9 @@
 //! (`STPT_METRICS_ADDR`) — all off until [`init_from_env`], the one reader
 //! of the environment, or an explicit `set_*` call switches them on. When
 //! they are off, every recording call is a single relaxed atomic load —
-//! near-zero overhead. [`export::write_telemetry`] dumps the collected
-//! state as JSON under `results/telemetry/`.
+//! near-zero overhead. [`export::telemetry_json`] renders the collected
+//! state as the one telemetry document of a run (the result envelope's
+//! `telemetry` block), and [`export::chrome_trace_json`] the span events.
 //!
 //! The crate is dependency-free (std only) so every workspace crate —
 //! including the `stpt-dp` privacy kernel — can depend on it without
@@ -105,7 +106,7 @@ pub fn set_live_enabled(on: bool) {
 /// Whether metric/span recording should happen at all: post-mortem tracing
 /// (`STPT_TRACE`) *or* live monitoring. Recording sites check this; export
 /// surfaces stay gated on the switch they serve ([`enabled`] for the
-/// envelope/telemetry files, [`live_enabled`] for the scrape endpoint), so
+/// envelope's telemetry block, [`live_enabled`] for the scrape endpoint), so
 /// turning the exporter on never changes what a result envelope contains.
 #[inline]
 pub fn collecting() -> bool {
@@ -113,14 +114,12 @@ pub fn collecting() -> bool {
 }
 
 /// Read the observability environment, once per process. This is the one
-/// place any `STPT_TRACE*`/`STPT_METRICS_ADDR`/`STPT_TELEMETRY_DIR` value
-/// is read (the XT10 choke point); everything else consults the gates.
+/// place any `STPT_TRACE*`/`STPT_METRICS_ADDR` value is read (the XT10
+/// choke point); everything else consults the gates.
 ///
 /// * `STPT_TRACE` — any value other than empty or `0` switches
 ///   [`enabled`] on;
 /// * `STPT_TRACE_EVENTS` — likewise for [`events_enabled`];
-/// * `STPT_TELEMETRY_DIR` — where [`export`] writes (default
-///   [`export::DEFAULT_DIR`]);
 /// * `STPT_METRICS_ADDR` — bind address (`127.0.0.1:9184`) of the
 ///   Prometheus scrape listener. Switches [`live_enabled`] on and starts
 ///   the 1 s resource sampler; a busy port is reported on stderr and
@@ -136,9 +135,6 @@ pub fn init_from_env() {
         }
         if flag("STPT_TRACE_EVENTS") {
             set_events_enabled(true);
-        }
-        if let Ok(dir) = std::env::var("STPT_TELEMETRY_DIR") {
-            export::set_dir(dir);
         }
         if let Ok(addr) = std::env::var("STPT_METRICS_ADDR") {
             set_live_enabled(true);

@@ -27,7 +27,7 @@
 //! ticks via `AT_CLKTCK` from `/proc/self/auxv` (fallback 100 Hz), RSS from
 //! pages via `AT_PAGESZ` (fallback 4096).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -76,11 +76,10 @@ fn proc_root() -> PathBuf {
 }
 
 /// Whether sampling can actually run: the gate is on and the (possibly
-/// overridden) proc root exposes a parseable `statm`. Computed per call —
-/// the reads are two small files and callers sit on cold paths (collector
-/// ticks, phase boundaries).
+/// overridden) proc root exposes a parseable `statm`. Computed per call.
+/// Recording paths do not ask first: their own RSS read is the probe.
 pub fn available() -> bool {
-    resources_enabled() && read_rss_bytes_at(&proc_root()).is_some()
+    resources_enabled() && rss_bytes().is_some()
 }
 
 // ---- auxv-derived unit constants -----------------------------------------
@@ -141,17 +140,13 @@ fn parse_stat_cpu_ticks(line: &str) -> Option<u64> {
     Some(utime.saturating_add(stime))
 }
 
-fn read_rss_bytes_at(root: &Path) -> Option<u64> {
-    let text = std::fs::read_to_string(root.join("statm")).ok()?;
+/// Current resident-set size in bytes, or `None` when `/proc` (or the
+/// test override root) cannot be read. Does **not** consult the gate;
+/// recording paths go through `observe_rss`, which does.
+pub fn rss_bytes() -> Option<u64> {
+    let text = std::fs::read_to_string(proc_root().join("statm")).ok()?;
     let pages = parse_statm_resident_pages(&text)?;
     Some(pages.saturating_mul(page_size()))
-}
-
-/// Current resident-set size in bytes, or `None` when `/proc` (or the
-/// test override root) cannot be read. Does **not** consult the gate —
-/// use [`available`] first on recording paths.
-pub fn rss_bytes() -> Option<u64> {
-    read_rss_bytes_at(&proc_root())
 }
 
 /// Cumulative process CPU time (utime + stime across all threads) in
@@ -189,8 +184,13 @@ fn state() -> MutexGuard<'static, SamplerState> {
 
 /// Record one RSS observation: update the gauge and the running peak.
 /// Called by [`sample`] and by phase spans at entry/exit so short-lived
-/// allocation spikes between collector ticks still move the peak.
+/// allocation spikes between collector ticks still move the peak. This is
+/// also the layer's probe: `None` when the gate is off or `statm` cannot
+/// be read, with nothing recorded.
 pub(crate) fn observe_rss() -> Option<u64> {
+    if !resources_enabled() {
+        return None;
+    }
     let rss = rss_bytes()?;
     let mut st = state();
     RSS_BYTES.set(rss as f64);
@@ -207,10 +207,9 @@ pub(crate) fn observe_rss() -> Option<u64> {
 /// disabled or degraded layer costs one atomic load plus (at worst) one
 /// failed `open`.
 pub fn sample() {
-    if !crate::collecting() || !available() {
+    if !crate::collecting() || observe_rss().is_none() {
         return;
     }
-    observe_rss();
     if let Some(ticks) = process_cpu_ticks() {
         let mut st = state();
         let cum = ticks.max(st.prev_cpu_ticks);

@@ -55,7 +55,7 @@ fn table() -> MutexGuard<'static, HashMap<String, SpanStat>> {
 /// read, no lock — `enter` is two relaxed atomic loads and `drop` one
 /// branch. A span fires when either gate is on: `STPT_TRACE` feeds the
 /// aggregate table, `STPT_TRACE_EVENTS` additionally records timestamped
-/// begin/end events for [`crate::export::write_chrome_trace`].
+/// begin/end events for [`crate::export::chrome_trace_json`].
 #[must_use = "a span guard measures the scope it is bound to; dropping it immediately records nothing useful"]
 pub struct SpanGuard {
     /// Full `/`-separated path, captured at entry. `None` when disabled.
@@ -112,15 +112,12 @@ impl SpanGuard {
         if events {
             crate::events::record(crate::events::EventPhase::Begin, name, &path);
         }
-        let (cpu_secs_at_entry, rss_at_entry) =
-            if phase && aggregate && crate::resources::available() {
-                (
-                    crate::resources::process_cpu_secs(),
-                    crate::resources::observe_rss(),
-                )
-            } else {
-                (None, None)
-            };
+        let rss_at_entry = if phase && aggregate {
+            crate::resources::observe_rss()
+        } else {
+            None
+        };
+        let cpu_secs_at_entry = rss_at_entry.and_then(|_| crate::resources::process_cpu_secs());
         SpanGuard {
             path: Some(path),
             start: Some(Instant::now()),

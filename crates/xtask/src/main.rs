@@ -34,7 +34,7 @@ usage: cargo xtask <lint|baseline|regress> [options] [ROOT]
       that do not hold in the measured data are dropped with a warning.
 
   regress [--json] [--require-telemetry]
-      Check results/ (+ results/telemetry/) against the committed
+      Check the envelopes in results/ against the committed
       baselines. Scale-bound checks are skipped when a run's env differs
       from its baseline's; --require-telemetry turns missing-telemetry
       skips into failures. Non-zero exit iff a check fails.

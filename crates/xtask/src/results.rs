@@ -10,9 +10,9 @@
 //!
 //! Legacy pre-envelope files (a bare array/object) are rejected with a
 //! pointed message — the regression gate must never silently compare
-//! against a document whose provenance it cannot see. A missing inline
-//! telemetry block falls back to the standalone
-//! `results/telemetry/<name>.json` document when present.
+//! against a document whose provenance it cannot see. The inline
+//! `telemetry` block is the run's only telemetry document: `null` means the
+//! run was untraced, whatever else lies in `results/`.
 
 use std::path::Path;
 
@@ -91,8 +91,7 @@ pub struct RunDoc {
     pub env: EnvScale,
     /// The experiment payload.
     pub data: Value,
-    /// Telemetry snapshot: inline from the envelope, else the standalone
-    /// `results/telemetry/<name>.json`, else `None`.
+    /// The envelope's telemetry block; `None` when it is `null`.
     pub telemetry: Option<Value>,
 }
 
@@ -233,10 +232,9 @@ pub fn load_run(results_dir: &Path, name: &str) -> Result<RunDoc, String> {
         .cloned()
         .ok_or_else(|| format!("{}: envelope has no `data`", path.display()))?;
 
-    let telemetry = match field("telemetry") {
-        Some(Value::Null) | None => load_standalone_telemetry(results_dir, name),
-        Some(t) => Some(t.clone()),
-    };
+    let telemetry = field("telemetry")
+        .filter(|t| !matches!(t, Value::Null))
+        .cloned();
 
     Ok(RunDoc {
         name: name.to_owned(),
@@ -244,12 +242,6 @@ pub fn load_run(results_dir: &Path, name: &str) -> Result<RunDoc, String> {
         data,
         telemetry,
     })
-}
-
-fn load_standalone_telemetry(results_dir: &Path, name: &str) -> Option<Value> {
-    let path = results_dir.join("telemetry").join(format!("{name}.json"));
-    let text = std::fs::read_to_string(path).ok()?;
-    serde_json::from_str(&text).ok()
 }
 
 #[cfg(test)]
@@ -306,5 +298,28 @@ mod tests {
         let err = load_run(&dir, "absent").err().unwrap_or_default();
         assert!(err.contains("could not read"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn untraced_envelope_ignores_a_stale_telemetry_file() {
+        let dir = std::env::temp_dir().join("xtask_results_stale_telemetry_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        write(
+            &dir,
+            "untraced.json",
+            r#"{ "name": "untraced", "schema": 2, "created_unix": 1,
+                 "env": { "reps": 1, "queries": 60, "grid": 8, "hours": 48, "t_train": 28 },
+                 "data": [], "telemetry": null }"#,
+        );
+        write(
+            &dir.join("telemetry"),
+            "untraced.json",
+            r#"{ "counters": [ { "name": "c", "value": 7 } ],
+                 "ledger": { "check": { "consistent": true } } }"#,
+        );
+        let run = load_run(&dir, "untraced").expect("envelope loads");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(run.telemetry.is_none(), "{:?}", run.telemetry);
+        assert_eq!(run.ledger_consistent(), None);
     }
 }

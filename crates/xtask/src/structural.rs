@@ -12,7 +12,7 @@
 //! * **XT10 — hermeticity.** `std::env::var`/`var_os` outside the
 //!   designated choke points (`vendor/rayon`'s `STPT_THREADS` resolution,
 //!   `stpt_obs::init_from_env` in `crates/obs/src/lib.rs` for the
-//!   trace/telemetry/live-metrics toggles) makes runs depend on ambient
+//!   trace, trace-event and live-metrics toggles) makes runs depend on ambient
 //!   process state.
 
 use std::collections::{HashSet, VecDeque};
@@ -569,8 +569,7 @@ fn xt10_hermeticity(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 message: format!(
                     "`env::{name}` outside the configuration choke points \
                      (vendor/rayon STPT_THREADS; `stpt_obs::init_from_env` \
-                     STPT_TRACE, STPT_TRACE_EVENTS, STPT_METRICS_ADDR, \
-                     STPT_TELEMETRY_DIR) \
+                     STPT_TRACE, STPT_TRACE_EVENTS, STPT_METRICS_ADDR) \
                      — ambient env reads make runs non-hermetic; plumb the value \
                      through explicit config or justify with \
                      `// xtask-allow(XT10): <reason>`"

@@ -1,8 +1,8 @@
-//! Violating: the live-metrics address (`STPT_METRICS_ADDR`) and the
-//! telemetry directory (`STPT_TELEMETRY_DIR`) are read only by
-//! `stpt_obs::init_from_env`, and a resource-sampling toggle
-//! (`STPT_RESOURCES`) read anywhere else would fork the exporter's
-//! configuration surface and break hermeticity.
+//! Violating: the live-metrics address (`STPT_METRICS_ADDR`) is read only
+//! by `stpt_obs::init_from_env`, and a retired telemetry directory
+//! (`STPT_TELEMETRY_DIR`) or resource-sampling toggle (`STPT_RESOURCES`)
+//! read anywhere else would fork the exporter's configuration surface and
+//! break hermeticity.
 pub fn rogue_scrape_addr() -> Option<String> {
     std::env::var("STPT_METRICS_ADDR").ok()
 }

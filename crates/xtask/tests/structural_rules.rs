@@ -151,7 +151,7 @@ fn xt10_covers_the_live_metrics_and_resource_env_vars() {
         "{:?}",
         report.diags
     );
-    for name in ["init_from_env", "STPT_METRICS_ADDR", "STPT_TELEMETRY_DIR"] {
+    for name in ["init_from_env", "STPT_METRICS_ADDR"] {
         assert!(
             report.diags[0].message.contains(name),
             "{}",

@@ -3,9 +3,10 @@
 # then check the fresh results against the committed baselines.
 #
 # Observability knobs are propagated to every experiment binary:
-#   STPT_TRACE=1         telemetry snapshots (results/telemetry/<name>.json,
-#                        plus the envelope's inline summary)
-#   STPT_TRACE_EVENTS=1  Chrome trace per run (<name>.trace.json, Perfetto)
+#   STPT_TRACE=1         the run's telemetry document, inline in its
+#                        envelope (results/<name>.json)
+#   STPT_TRACE_EVENTS=1  Chrome trace per run
+#                        (results/telemetry/<name>.trace.json, Perfetto)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -33,7 +34,7 @@ for exp in table2 fig9 fig8d fig7 fig8ab fig8ef fig8c fig8g fig8h fig6 ablate fi
   # Surface the run's memory high-water mark when the resource layer
   # sampled it (traced runs with /proc readable).
   peak=$(grep -o '{ "name": "process.peak_rss_bytes", "value": [0-9.e+]* }' \
-           results/telemetry/"$exp".json 2>/dev/null \
+           results/"$exp".json 2>/dev/null \
          | grep -o '[0-9.e+]*' | tail -1 || true)
   if [ -n "$peak" ]; then
     echo "=== $exp peak RSS: $(awk "BEGIN { printf \"%.1f MiB\", $peak / 1048576 }") ==="
