@@ -22,10 +22,9 @@ pub trait Mechanism {
         rng: &mut DpRng,
     ) -> ConsumptionMatrix;
 
-    /// Produce the release wrapped in the staged-pipeline [`Release`]
-    /// value, tagged raw (pre post-processing). Callers that want the
-    /// consistency stage feed this through `ReleasePipeline` via
-    /// `Presanitized` in `stpt-core`.
+    /// Produce the release wrapped in a [`Release`] value, tagged raw (pre
+    /// post-processing). Callers that want the consistency stage pass its
+    /// data to `stpt_core::postprocess`.
     ///
     /// Named `raw_release` (not `release`) so the structural call-graph
     /// lint does not conflate it with release entry points.

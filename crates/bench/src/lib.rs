@@ -20,10 +20,10 @@ use serde::Serialize;
 use std::sync::OnceLock;
 use std::time::Instant;
 use stpt_baselines::{Fast, Fourier, Identity, LganDp, Mechanism, Wavelet, Wpo};
-use stpt_core::{run_stpt, Presanitized, Release, ReleasePipeline, StptConfig, StptOutput};
+use stpt_core::{postprocess, run_stpt, Release, ReleaseStage, StptConfig, StptOutput};
 use stpt_data::{ConsumptionMatrix, Dataset, DatasetSpec, Granularity, SpatialDistribution};
 use stpt_dp::rng::run_seed;
-use stpt_dp::{DpError, DpRng};
+use stpt_dp::{BudgetAccountant, DpError, DpRng, Epsilon};
 use stpt_queries::{
     default_rho, evaluate_workload_with, generate_queries, PrefixSum3D, QueryClass,
 };
@@ -216,11 +216,11 @@ pub fn wpo() -> Box<dyn Mechanism + Send + Sync> {
     Box::new(Wpo::default())
 }
 
-/// Run a baseline mechanism with a per-(mechanism, rep) seed through the
-/// staged release pipeline; returns the [`Release`] and the wall-clock
-/// seconds. When `env.pp` is set, the unaudited pipeline runs the ε-free
-/// consistency stage on the baseline's output (and verifies its proof), so
-/// baselines and STPT are compared at the same release stage.
+/// Run a baseline mechanism with a per-(mechanism, rep) seed; returns the
+/// [`Release`] and the wall-clock seconds. When `env.pp` is set, the ε-free
+/// consistency stage ([`postprocess`]) runs on the baseline's output and its
+/// proof is verified, so baselines and STPT are compared at the same release
+/// stage.
 pub fn run_baseline(
     env: &ExperimentEnv,
     mech: &dyn Mechanism,
@@ -228,23 +228,18 @@ pub fn run_baseline(
     eps_total: f64,
     rep: u64,
 ) -> (Release, f64) {
-    let seed = run_seed(hash_name(&mech.name()), rep);
-    let mut rng = DpRng::seed_from_u64(seed);
+    let mut rng = DpRng::seed_from_u64(run_seed(hash_name(&mech.name()), rep));
     let start = Instant::now();
-    let raw = mech.raw_release(&inst.clipped, inst.clip, eps_total, &mut rng);
-    let pipeline = ReleasePipeline {
-        eps_total,
-        seed,
-        postprocess: env.pp,
-        audited: false,
-    };
-    let release = pipeline
-        .run(
-            &mut Presanitized::new(raw.mechanism, raw.data),
-            &inst.clipped,
-        )
-        // xtask-allow(XT04): a pre-sanitized release spends nothing on the accountant, so its proofs always verify
-        .expect("a pre-sanitized release spends nothing, so its proofs verify");
+    let mut release = mech.raw_release(&inst.clipped, inst.clip, eps_total, &mut rng);
+    if env.pp {
+        let mut accountant = BudgetAccountant::new(Epsilon::new(eps_total));
+        release.post = Some(postprocess(&mut accountant, &mut release.data, None));
+        release.stage = ReleaseStage::PostProcessed;
+        accountant
+            .verify_postprocess()
+            // xtask-allow(XT04): the baseline spent nothing on this accountant, so its proof always verifies
+            .expect("a baseline spends nothing on the accountant, so its proof verifies");
+    }
     (release, start.elapsed().as_secs_f64())
 }
 
@@ -408,6 +403,55 @@ mod tests {
         let inst = make_instance(&env, spec, SpatialDistribution::Uniform, 0);
         let mre = mre_of(&env, &inst, &inst.truth.clone(), QueryClass::Random, 0);
         assert_eq!(mre, 0.0);
+    }
+
+    fn bits(m: &ConsumptionMatrix) -> Vec<u64> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A small instance and Identity's raw release on it at `eps`, drawn
+    /// from the seed `run_baseline` uses for rep 0.
+    fn identity_instance(eps: f64) -> (Instance, Release) {
+        let mut spec = DatasetSpec::CA;
+        spec.households = 50;
+        let inst = make_instance(&small_env(), spec, SpatialDistribution::Uniform, 0);
+        let mut rng = DpRng::seed_from_u64(run_seed(hash_name("Identity"), 0));
+        let raw = Identity.raw_release(&inst.clipped, inst.clip, eps, &mut rng);
+        // Noise must push some cells negative, or the projection below
+        // would have nothing to do.
+        assert!(raw.data.data().iter().any(|&v| v < 0.0));
+        (inst, raw)
+    }
+
+    #[test]
+    fn run_baseline_without_pp_returns_the_raw_release() {
+        let (inst, raw) = identity_instance(1.0);
+        let (release, _) = run_baseline(&small_env(), &Identity, &inst, 1.0, 0);
+        assert_eq!(release.stage, ReleaseStage::Raw);
+        assert!(release.post.is_none());
+        assert_eq!(release.mechanism, "Identity");
+        assert_eq!(bits(&release.data), bits(&raw.data));
+    }
+
+    #[test]
+    fn run_baseline_with_pp_projects_the_raw_release() {
+        let (inst, raw) = identity_instance(1.0);
+        let env = ExperimentEnv {
+            pp: true,
+            ..small_env()
+        };
+        let (release, _) = run_baseline(&env, &Identity, &inst, 1.0, 0);
+        assert_eq!(release.stage, ReleaseStage::PostProcessed);
+        let record = release.post.as_ref().expect("post-processing record");
+        assert_eq!(record.epsilon.to_bits(), 0.0f64.to_bits());
+        assert!(release.data.data().iter().all(|&v| v >= 0.0));
+        let mut expected = raw.data;
+        postprocess(
+            &mut BudgetAccountant::new(Epsilon::new(1.0)),
+            &mut expected,
+            None,
+        );
+        assert_eq!(bits(&release.data), bits(&expected));
     }
 
     #[test]

@@ -52,12 +52,12 @@ pub mod stpt;
 pub use allocation::{allocate, total_noise_variance, BudgetAllocation};
 pub use ldp::{cell_noise_std, ldp_release, LdpConfig};
 pub use pattern::{prediction_error, recognize_patterns, PatternConfig, PatternOutput};
-pub use pipeline::{GroupedRelease, Presanitized, ReleasePipeline, Sanitize, Sanitized};
+pub use pipeline::{postprocess, GroupedRelease};
 pub use quadtree::{neighborhoods, representative_series, time_segments, Region};
 pub use quantize::{k_quantize, Partition};
 pub use sanitize::{sanitize_partitions, PartitionRelease, SanitizeConfig};
 pub use stpt::{run_stpt, run_stpt_on_dataset, StptConfig, StptOutput};
 
 // Re-export the release value types so downstream crates can consume
-// pipeline outputs without a direct `stpt-postprocess` dependency.
+// releases without a direct `stpt-postprocess` dependency.
 pub use stpt_postprocess::{PostProcessRecord, Release, ReleaseStage};

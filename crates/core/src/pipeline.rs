@@ -1,40 +1,26 @@
-//! The staged release pipeline: prepare → sanitize → post-process →
-//! evaluate.
+//! The ε-free consistency stage shared by every release.
 //!
-//! Every release in this workspace — STPT's partitioned reconstruction and
-//! each comparison baseline — flows through [`ReleasePipeline::run`], which
-//! produces a single [`Release`] value carrying the sanitized data, its
-//! `LedgerEntry` budget trail, and (when the optional consistency stage
-//! ran) a [`PostProcessRecord`].
+//! STPT's release is `(ε_pattern + ε_sanitize)`-DP by sequential
+//! composition (Theorem 1); everything after sanitisation is
+//! post-processing (Theorem 3). So the one step STPT ([`crate::run_stpt`])
+//! and the comparison baselines (`stpt_bench::run_baseline`) share is the
+//! consistency projection, and [`postprocess`] is that step as a plain
+//! function of the released matrix.
 //!
-//! The pipeline owns the DP bookkeeping around the sanitizer:
-//!
-//! * it creates the [`BudgetAccountant`] and the seeded noise stream, hands
-//!   them to the [`Sanitize`] implementation, and never lets a release
-//!   escape without its ledger;
-//! * when post-processing is enabled it brackets the stage with
-//!   [`BudgetAccountant::begin_postprocess`] /
-//!   [`BudgetAccountant::end_postprocess`], so the audit can prove the
-//!   stage spent ε = 0 (Theorem 3 as a runtime fail-closed check, not a
-//!   comment);
-//! * audited runs (STPT) finish with the full ledger replay and publish to
-//!   `stpt-obs`; unaudited runs (baselines, which receive a pre-split
-//!   budget and spend nothing on the central accountant) still verify
-//!   their post-processing proofs and fail closed on a violation, but do
-//!   not publish — publishing a near-empty baseline ledger would displace
-//!   the STPT ledger as the canonical telemetry run.
-//!
-//! Structurally, `cargo xtask lint` rule XT09 treats `ReleasePipeline::run`
-//! as a release entry point: every path from here to a noise sampler must
-//! pass a budget spend first, and nothing in `crates/postprocess` may reach
-//! a sampler at all.
+//! [`postprocess`] brackets the projection with
+//! [`BudgetAccountant::begin_postprocess`] /
+//! [`BudgetAccountant::end_postprocess`], so the caller's audit (or
+//! [`BudgetAccountant::verify_postprocess`]) can prove the stage spent
+//! ε = 0 — Theorem 3 as a runtime fail-closed check, not a comment.
+//! Structurally, `cargo xtask lint` rule XT09 forbids any path from
+//! `crates/postprocess` to a noise sampler.
 
 use crate::quantize::Partition;
 use crate::sanitize::PartitionRelease;
 use stpt_data::ConsumptionMatrix;
-use stpt_dp::prelude::*;
+use stpt_dp::BudgetAccountant;
 use stpt_postprocess::{
-    project_hierarchy, project_matrix, Hierarchy, Release, ReleaseStage, POSTPROCESS_STAGE,
+    project_hierarchy, project_matrix, Hierarchy, PostProcessRecord, POSTPROCESS_STAGE,
 };
 
 /// A partition-structured release: the grouped noisy sums behind a
@@ -69,162 +55,45 @@ impl GroupedRelease {
     }
 }
 
-/// What a sanitizer hands back to the pipeline: the released matrix and,
-/// for partitioned mechanisms, the grouped structure the post-processing
-/// stage should operate on.
-#[derive(Debug)]
-pub struct Sanitized {
-    /// The sanitized consumption matrix.
-    pub data: ConsumptionMatrix,
-    /// Partition structure of the release, when the mechanism has one.
-    pub grouped: Option<GroupedRelease>,
-}
-
-/// The sanitize stage of the pipeline.
+/// Project a sanitized release onto the consistency polytope in place,
+/// recording the stage's ε-freeness proof on `accountant`.
 ///
-/// The method is deliberately *not* named `sanitize`: the XT09 structural
-/// rule treats every fn with that bare name as a release entry point (the
-/// `Mechanism` impls), and the pipeline must not appear to call into every
-/// baseline at once in the call graph.
-pub trait Sanitize {
-    /// Mechanism name carried into the [`Release`].
-    fn name(&self) -> String;
-
-    /// Produce the sanitized data, spending budget on `accountant` and
-    /// drawing noise from `rng`.
-    fn sanitize_into(
-        &mut self,
-        c_cons_clipped: &ConsumptionMatrix,
-        accountant: &mut BudgetAccountant,
-        rng: &mut DpRng,
-    ) -> Result<Sanitized, DpError>;
-}
-
-/// Injects an already-sanitized matrix into the pipeline. The comparison
-/// baselines receive a pre-split budget and draw their own noise outside
-/// the central accountant (each carries an `xtask-allow(XT09)` at its
-/// `sanitize` impl); wrapping their finished output lets them share the
-/// post-processing stage and its ε-freeness proof without routing their
-/// samplers through the pipeline's call graph.
-#[derive(Debug)]
-pub struct Presanitized {
-    name: String,
-    data: Option<ConsumptionMatrix>,
-}
-
-impl Presanitized {
-    /// Wrap a finished release under the given mechanism name.
-    pub fn new(name: impl Into<String>, data: ConsumptionMatrix) -> Self {
-        Presanitized {
-            name: name.into(),
-            data: Some(data),
-        }
-    }
-}
-
-impl Sanitize for Presanitized {
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn sanitize_into(
-        &mut self,
-        _c_cons_clipped: &ConsumptionMatrix,
-        _accountant: &mut BudgetAccountant,
-        _rng: &mut DpRng,
-    ) -> Result<Sanitized, DpError> {
-        Ok(Sanitized {
-            data: self
-                .data
-                .take()
-                // xtask-allow(XT04): take-once contract violation is a harness programming error, not a DP failure to propagate
-                .expect("a Presanitized release can only run through the pipeline once"),
-            grouped: None,
-        })
-    }
-}
-
-/// The staged release pipeline. See the module docs for stage semantics.
-#[derive(Debug, Clone, Copy)]
-pub struct ReleasePipeline {
-    /// Total budget ε_tot enforced by the pipeline's accountant.
-    pub eps_total: f64,
-    /// Seed of the pipeline's noise stream.
-    pub seed: u64,
-    /// Run the ε-free consistency projection after sanitization.
-    pub postprocess: bool,
-    /// Replay and publish the full ledger audit at the end (STPT). When
-    /// false, only the post-processing proofs are verified (baselines that
-    /// spend nothing on the central accountant).
-    pub audited: bool,
-}
-
-impl ReleasePipeline {
-    /// Run sanitize → post-process → audit and return the [`Release`].
-    pub fn run(
-        &self,
-        sanitizer: &mut dyn Sanitize,
-        c_cons_clipped: &ConsumptionMatrix,
-    ) -> Result<Release, DpError> {
-        let mut accountant = BudgetAccountant::new(Epsilon::new(self.eps_total));
-        let mut rng = DpRng::seed_from_u64(self.seed);
-        let Sanitized { mut data, grouped } =
-            sanitizer.sanitize_into(c_cons_clipped, &mut accountant, &mut rng)?;
-
-        let post = if self.postprocess {
-            let _pp_span = stpt_obs::phase_span!("postprocess");
-            let token = accountant.begin_postprocess(POSTPROCESS_STAGE);
-            let record = match &grouped {
-                Some(g) => {
-                    // Project the per-partition sums, then respread
-                    // uniformly — the noise lives in the sums.
-                    let h = Hierarchy::flat(g.sums.len());
-                    let mut sums = g.sums.clone();
-                    let record = project_hierarchy(&h, &mut sums);
-                    for (cells, &sum) in g.cells.iter().zip(&sums) {
-                        let per_cell = sum / cells.len() as f64;
-                        for &c in cells {
-                            data.data_mut()[c] = per_cell;
-                        }
-                    }
-                    record
+/// A grouped release projects its partition sums under
+/// [`Hierarchy::flat`] and respreads them uniformly over each partition's
+/// cells; a dense release (`grouped = None`) projects cell-wise over the
+/// grid hierarchy ([`project_matrix`]).
+pub fn postprocess(
+    accountant: &mut BudgetAccountant,
+    data: &mut ConsumptionMatrix,
+    grouped: Option<&GroupedRelease>,
+) -> PostProcessRecord {
+    let _pp_span = stpt_obs::phase_span!("postprocess");
+    let token = accountant.begin_postprocess(POSTPROCESS_STAGE);
+    let record = match grouped {
+        Some(g) => {
+            // Project the per-partition sums, then respread uniformly —
+            // the noise lives in the sums.
+            let h = Hierarchy::flat(g.sums.len());
+            let mut sums = g.sums.clone();
+            let record = project_hierarchy(&h, &mut sums);
+            for (cells, &sum) in g.cells.iter().zip(&sums) {
+                let per_cell = sum / cells.len() as f64;
+                for &c in cells {
+                    data.data_mut()[c] = per_cell;
                 }
-                None => project_matrix(&mut data),
-            };
-            accountant.end_postprocess(token);
-            Some(record)
-        } else {
-            None
-        };
-
-        let audit = if self.audited {
-            // Full replay: composition telescopes to ε_tot AND every
-            // post-processing stage proves ε-freeness, else fail closed.
-            Some(accountant.audit(self.eps_total)?)
-        } else {
-            accountant.verify_postprocess()?;
-            None
-        };
-
-        Ok(Release {
-            mechanism: sanitizer.name(),
-            stage: if self.postprocess {
-                ReleaseStage::PostProcessed
-            } else {
-                ReleaseStage::Raw
-            },
-            data,
-            ledger: accountant.ledger().to_vec(),
-            epsilon_spent: accountant.spent(),
-            audit,
-            post,
-        })
-    }
+            }
+            record
+        }
+        None => project_matrix(data),
+    };
+    accountant.end_postprocess(token);
+    record
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stpt_dp::Epsilon;
 
     fn noisy_matrix() -> ConsumptionMatrix {
         let mut m = ConsumptionMatrix::zeros(2, 2, 4);
@@ -235,92 +104,42 @@ mod tests {
     }
 
     #[test]
-    fn presanitized_raw_run_is_identity() {
-        let m = noisy_matrix();
-        let pipeline = ReleasePipeline {
-            eps_total: 10.0,
-            seed: 1,
-            postprocess: false,
-            audited: false,
-        };
-        let release = pipeline
-            .run(&mut Presanitized::new("Identity", m.clone()), &m)
-            .unwrap();
-        assert_eq!(release.stage, ReleaseStage::Raw);
-        assert!(release.post.is_none());
-        assert!(release.audit.is_none());
-        assert!(release.ledger.is_empty());
-        for (a, b) in release.data.data().iter().zip(m.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn presanitized_postprocessed_run_is_nonnegative_with_record() {
-        let m = noisy_matrix();
-        let pipeline = ReleasePipeline {
-            eps_total: 10.0,
-            seed: 1,
-            postprocess: true,
-            audited: false,
-        };
-        let release = pipeline
-            .run(&mut Presanitized::new("Identity", m.clone()), &m)
-            .unwrap();
-        assert_eq!(release.stage, ReleaseStage::PostProcessed);
-        assert!(release.data.data().iter().all(|&v| v >= 0.0));
-        let rec = release.post.expect("post-processing record");
+    fn dense_postprocess_is_nonnegative_with_record() {
+        let mut acc = BudgetAccountant::new(Epsilon::new(10.0));
+        let mut m = noisy_matrix();
+        let rec = postprocess(&mut acc, &mut m, None);
+        assert!(m.data().iter().all(|&v| v >= 0.0));
         assert_eq!(rec.epsilon.to_bits(), 0.0f64.to_bits());
         assert_eq!(rec.leaves, m.len());
+        assert_eq!(acc.verify_postprocess().unwrap(), 1);
     }
 
     #[test]
     fn grouped_projection_respreads_uniformly() {
-        struct Grouped;
-        impl Sanitize for Grouped {
-            fn name(&self) -> String {
-                "grouped".to_string()
-            }
-            fn sanitize_into(
-                &mut self,
-                c: &ConsumptionMatrix,
-                _accountant: &mut BudgetAccountant,
-                _rng: &mut DpRng,
-            ) -> Result<Sanitized, DpError> {
-                // Two partitions: first half of the cells and second half,
-                // in one tile group; one sum is negative.
-                let n = c.len();
-                let cells: Vec<Vec<usize>> = vec![(0..n / 2).collect(), (n / 2..n).collect()];
-                let mut data = c.clone();
-                for (ci, cell_set) in cells.iter().enumerate() {
-                    let sum = [-4.0, 12.0][ci];
-                    for &cell in cell_set {
-                        data.data_mut()[cell] = sum / cell_set.len() as f64;
-                    }
-                }
-                Ok(Sanitized {
-                    data,
-                    grouped: Some(GroupedRelease {
-                        groups: vec![0, 0],
-                        cells,
-                        sums: vec![-4.0, 12.0],
-                    }),
-                })
+        // Two partitions: first half of the cells and second half, in one
+        // tile group; one sum is negative.
+        let mut data = noisy_matrix();
+        let n = data.len();
+        let cells: Vec<Vec<usize>> = vec![(0..n / 2).collect(), (n / 2..n).collect()];
+        let sums = vec![-4.0, 12.0];
+        for (cell_set, &sum) in cells.iter().zip(&sums) {
+            for &cell in cell_set {
+                data.data_mut()[cell] = sum / cell_set.len() as f64;
             }
         }
-
-        let m = noisy_matrix();
-        let pipeline = ReleasePipeline {
-            eps_total: 5.0,
-            seed: 2,
-            postprocess: true,
-            audited: false,
+        let grouped = GroupedRelease {
+            groups: vec![0, 0],
+            cells,
+            sums,
         };
-        let release = pipeline.run(&mut Grouped, &m).unwrap();
+
+        let mut acc = BudgetAccountant::new(Epsilon::new(5.0));
+        postprocess(&mut acc, &mut data, Some(&grouped));
+        assert_eq!(acc.verify_postprocess().unwrap(), 1);
         // The negative partition clamps to zero; the root target is the
         // clamped total (-4 + 12 = 8 raw, projected mass stays 8 on the
         // positive partition). Every cell in a partition shares one value.
-        let data = release.data.data();
+        let data = data.data();
         let half = data.len() / 2;
         assert!(data[..half]
             .iter()

@@ -13,7 +13,7 @@
 
 use crate::allocation::BudgetAllocation;
 use crate::pattern::{prediction_error, recognize_patterns, PatternConfig, PatternOutput};
-use crate::pipeline::{GroupedRelease, ReleasePipeline, Sanitize, Sanitized};
+use crate::pipeline::{postprocess, GroupedRelease};
 use crate::quantize::{k_quantize_with, Partition, PartitionScheme};
 use crate::sanitize::{sanitize_partitions, PartitionRelease, SanitizeConfig};
 use serde::{Deserialize, Serialize};
@@ -138,138 +138,92 @@ pub struct StptOutput {
 /// [`Dataset::consumption_matrix`]`(cx, cy, true)` (or equivalent) so that
 /// each reading is bounded by `config.clip` — the DP guarantee is calibrated
 /// to that bound.
+///
+/// Runs pattern recognition, k-quantisation and partition sanitisation on
+/// one accountant and one noise stream seeded from `config.seed`, then the
+/// optional consistency stage ([`postprocess`]), and fails closed unless
+/// the ledger audit replays to ε_tot.
 pub fn run_stpt(
     c_cons_clipped: &ConsumptionMatrix,
     config: &StptConfig,
 ) -> Result<StptOutput, DpError> {
     let _stpt_span = stpt_obs::phase_span!("stpt");
-    let pipeline = ReleasePipeline {
-        eps_total: config.eps_total(),
-        seed: config.seed,
-        postprocess: config.postprocess,
-        audited: true,
+    let mut accountant = BudgetAccountant::new(Epsilon::new(config.eps_total()));
+    let mut rng = DpRng::seed_from_u64(config.seed);
+
+    // Normalise by the public clip bound: each *user reading* maps into
+    // [0, 1], so a cell (a sum of readings, one per user) has sensitivity 1
+    // (Theorem 4). This is the DP-safe variant of Equation 6's min-max
+    // normalisation — the clip factor is public, the true min/max are not.
+    let c_norm = c_cons_clipped.map(|v| v / config.clip);
+
+    let pattern_cfg = PatternConfig {
+        epsilon: config.eps_pattern,
+        t_train: config.t_train,
+        depth: config.depth,
+        net: config.net.clone(),
     };
-    let mut sanitizer = StptSanitizer {
-        config,
-        extras: None,
+    let pattern_span = stpt_obs::phase_span!("pattern");
+    let pattern = recognize_patterns(&c_norm, &pattern_cfg, &mut accountant, &mut rng)?;
+    let (pattern_mae, pattern_rmse) = prediction_error(&c_norm, &pattern.pattern, config.t_train);
+    drop(pattern_span);
+
+    let partition_span = stpt_obs::phase_span!("partition");
+    let scheme = match (config.partition_block, config.partition_t_block) {
+        (Some(block), Some(t_block)) => PartitionScheme::Local {
+            block,
+            t_boundary: config.t_train,
+            t_block,
+        },
+        (Some(block), None) => PartitionScheme::Adaptive {
+            block,
+            t_boundary: config.t_train,
+        },
+        (None, _) => PartitionScheme::Global,
     };
-    let release = pipeline.run(&mut sanitizer, c_cons_clipped)?;
-    let extras = sanitizer
-        .extras
-        .take()
-        // xtask-allow(XT04): a successful pipeline run implies the sanitize stage executed and stashed its extras
-        .expect("the pipeline ran the sanitize stage");
-    // The audited pipeline fails closed before returning a release whose
-    // ledger replay does not check out, so the audit is always present.
-    let audit = release
-        .audit
-        // xtask-allow(XT04): audited=true makes the audit field structurally present on the Ok path
-        .expect("an audited pipeline always carries its audit");
+    let partitions = k_quantize_with(&pattern.pattern, config.quantization, scheme);
+    drop(partition_span);
+
+    let sanitize_cfg = SanitizeConfig {
+        epsilon: config.eps_sanitize,
+        clip: config.clip,
+        allocation: config.allocation,
+    };
+    let sanitize_span = stpt_obs::phase_span!("sanitize");
+    let (mut sanitized, releases) = sanitize_partitions(
+        c_cons_clipped,
+        &partitions,
+        &sanitize_cfg,
+        &mut accountant,
+        &mut rng,
+    )?;
+    drop(sanitize_span);
+
+    let post = config.postprocess.then(|| {
+        let grouped = GroupedRelease::from_partitions(&partitions, &releases);
+        postprocess(&mut accountant, &mut sanitized, Some(&grouped))
+    });
+    // Full replay: composition telescopes to ε_tot AND every
+    // post-processing stage proves ε-freeness, else fail closed.
+    let audit = accountant.audit(config.eps_total())?;
 
     Ok(StptOutput {
-        sanitized: release.data,
-        stage: release.stage,
-        post: release.post,
-        pattern: extras.pattern,
-        partitions: extras.partitions,
-        releases: extras.releases,
-        epsilon_spent: release.epsilon_spent,
-        ledger: release.ledger,
+        sanitized,
+        stage: if post.is_some() {
+            ReleaseStage::PostProcessed
+        } else {
+            ReleaseStage::Raw
+        },
+        post,
+        pattern,
+        partitions,
+        releases,
+        epsilon_spent: accountant.spent(),
+        ledger: accountant.ledger().to_vec(),
         audit,
-        pattern_mae: extras.pattern_mae,
-        pattern_rmse: extras.pattern_rmse,
+        pattern_mae,
+        pattern_rmse,
     })
-}
-
-/// STPT's pattern/partition byproducts, stashed by the sanitizer so
-/// [`run_stpt`] can return them alongside the pipeline's [`Release`].
-struct StptExtras {
-    pattern: PatternOutput,
-    partitions: Vec<Partition>,
-    releases: Vec<PartitionRelease>,
-    pattern_mae: f64,
-    pattern_rmse: f64,
-}
-
-/// Algorithm 1 as the pipeline's sanitize stage: pattern recognition,
-/// k-quantisation, and partition sanitisation, spending ε_pattern +
-/// ε_sanitize on the pipeline's accountant.
-struct StptSanitizer<'a> {
-    config: &'a StptConfig,
-    extras: Option<StptExtras>,
-}
-
-impl Sanitize for StptSanitizer<'_> {
-    fn name(&self) -> String {
-        "STPT".to_string()
-    }
-
-    fn sanitize_into(
-        &mut self,
-        c_cons_clipped: &ConsumptionMatrix,
-        accountant: &mut BudgetAccountant,
-        rng: &mut DpRng,
-    ) -> Result<Sanitized, DpError> {
-        let config = self.config;
-
-        // Normalise by the public clip bound: each *user reading* maps into
-        // [0, 1], so a cell (a sum of readings, one per user) has
-        // sensitivity 1 (Theorem 4). This is the DP-safe variant of
-        // Equation 6's min-max normalisation — the clip factor is public,
-        // the true min/max are not.
-        let c_norm = c_cons_clipped.map(|v| v / config.clip);
-
-        let pattern_cfg = PatternConfig {
-            epsilon: config.eps_pattern,
-            t_train: config.t_train,
-            depth: config.depth,
-            net: config.net.clone(),
-        };
-        let pattern_span = stpt_obs::phase_span!("pattern");
-        let pattern = recognize_patterns(&c_norm, &pattern_cfg, accountant, rng)?;
-        let (pattern_mae, pattern_rmse) =
-            prediction_error(&c_norm, &pattern.pattern, config.t_train);
-        drop(pattern_span);
-
-        let partition_span = stpt_obs::phase_span!("partition");
-        let scheme = match (config.partition_block, config.partition_t_block) {
-            (Some(block), Some(t_block)) => PartitionScheme::Local {
-                block,
-                t_boundary: config.t_train,
-                t_block,
-            },
-            (Some(block), None) => PartitionScheme::Adaptive {
-                block,
-                t_boundary: config.t_train,
-            },
-            (None, _) => PartitionScheme::Global,
-        };
-        let partitions = k_quantize_with(&pattern.pattern, config.quantization, scheme);
-        drop(partition_span);
-
-        let sanitize_cfg = SanitizeConfig {
-            epsilon: config.eps_sanitize,
-            clip: config.clip,
-            allocation: config.allocation,
-        };
-        let sanitize_span = stpt_obs::phase_span!("sanitize");
-        let (sanitized, releases) =
-            sanitize_partitions(c_cons_clipped, &partitions, &sanitize_cfg, accountant, rng)?;
-        drop(sanitize_span);
-
-        let grouped = GroupedRelease::from_partitions(&partitions, &releases);
-        self.extras = Some(StptExtras {
-            pattern,
-            partitions,
-            releases,
-            pattern_mae,
-            pattern_rmse,
-        });
-        Ok(Sanitized {
-            data: sanitized,
-            grouped: Some(grouped),
-        })
-    }
 }
 
 /// Convenience wrapper: build the clipped matrix from a dataset and run

@@ -93,14 +93,6 @@ impl SpendInfo {
         }
     }
 
-    /// A spend feeding the geometric mechanism at the given L1 sensitivity.
-    pub fn geometric(sensitivity: f64) -> Self {
-        SpendInfo {
-            mechanism: "geometric",
-            sensitivity,
-        }
-    }
-
     /// A spend with no mechanism attribution (legacy call sites and tests).
     pub fn unattributed() -> Self {
         SpendInfo {
@@ -689,7 +681,7 @@ mod tests {
         let mut acc = BudgetAccountant::new(Epsilon::new(2.0));
         acc.spend_sequential_with("seq", Epsilon::new(0.5), SpendInfo::laplace(1.0))
             .unwrap();
-        acc.spend_parallel_with("par", "cell", Epsilon::new(1.0), SpendInfo::geometric(2.0))
+        acc.spend_parallel_with("par", "cell", Epsilon::new(1.0), SpendInfo::laplace(2.0))
             .unwrap();
         let ledger = acc.ledger();
         assert_eq!(ledger.len(), 2);
@@ -697,7 +689,8 @@ mod tests {
         assert_eq!(ledger[0].sensitivity, 1.0);
         assert!(ledger[0].sibling.is_none());
         assert_eq!(ledger[0].kind, Composition::Sequential);
-        assert_eq!(ledger[1].mechanism, "geometric");
+        assert_eq!(ledger[1].mechanism, "laplace");
+        assert_eq!(ledger[1].sensitivity, 2.0);
         assert_eq!(ledger[1].sibling.as_deref(), Some("cell"));
         assert_eq!(ledger[1].kind, Composition::Parallel);
     }

@@ -3,8 +3,8 @@
 //! This crate provides the mechanisms and accounting machinery from the
 //! paper's preliminaries (Section 2):
 //!
-//! * [`mechanism`] — the Laplace and geometric mechanisms (Definition 1,
-//!   Equation 4), plus exact inverse-CDF Laplace sampling.
+//! * [`mechanism`] — the Laplace mechanism (Definition 1, Equation 4),
+//!   plus exact inverse-CDF Laplace sampling.
 //! * [`budget`] — an enforcing [`budget::BudgetAccountant`] implementing
 //!   sequential composition (Theorem 1) and parallel composition
 //!   (Theorem 2).
@@ -35,7 +35,7 @@ pub mod sensitivity;
 
 pub use budget::{BudgetAccountant, Epsilon, SpendInfo};
 pub use error::DpError;
-pub use mechanism::{is_exact_zero, laplace_sample, GeometricMechanism, LaplaceMechanism};
+pub use mechanism::{is_exact_zero, laplace_sample, LaplaceMechanism};
 pub use rng::DpRng;
 pub use sensitivity::{clip_series, Sensitivity};
 
@@ -43,9 +43,7 @@ pub use sensitivity::{clip_series, Sensitivity};
 pub mod prelude {
     pub use crate::budget::{BudgetAccountant, Epsilon, SpendInfo};
     pub use crate::error::DpError;
-    pub use crate::mechanism::{
-        is_exact_zero, laplace_sample, GeometricMechanism, LaplaceMechanism,
-    };
+    pub use crate::mechanism::{is_exact_zero, laplace_sample, LaplaceMechanism};
     pub use crate::rng::DpRng;
     pub use crate::sensitivity::{clip_series, Sensitivity};
     pub use rand::SeedableRng;

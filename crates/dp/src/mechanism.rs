@@ -1,4 +1,4 @@
-//! Noise mechanisms: Laplace (Equation 4) and geometric.
+//! The Laplace mechanism (Equation 4).
 
 use crate::budget::Epsilon;
 use crate::rng::DpRng;
@@ -8,8 +8,6 @@ use rand::Rng;
 /// Telemetry: number of Laplace noise draws (counts only when `STPT_TRACE`
 /// is on; a single relaxed atomic load otherwise).
 static LAPLACE_DRAWS: stpt_obs::Counter = stpt_obs::Counter::new("dp.noise_draws.laplace");
-/// Telemetry: number of two-sided geometric noise draws.
-static GEOMETRIC_DRAWS: stpt_obs::Counter = stpt_obs::Counter::new("dp.noise_draws.geometric");
 
 /// True iff `x` is exactly `±0.0` at the bit level.
 ///
@@ -99,67 +97,6 @@ impl LaplaceMechanism {
     }
 }
 
-/// The geometric mechanism: the discrete analogue of Laplace, used when
-/// released statistics must stay integral (e.g. household counts).
-///
-/// Adds two-sided geometric noise with parameter `α = exp(-ε/s)`:
-/// `Pr[X = k] = (1-α)/(1+α) · α^|k|`.
-#[derive(Debug, Clone, Copy)]
-pub struct GeometricMechanism {
-    sensitivity: Sensitivity,
-    epsilon: Epsilon,
-}
-
-impl GeometricMechanism {
-    /// Construct a mechanism for integer-valued queries.
-    pub fn new(sensitivity: Sensitivity, epsilon: Epsilon) -> Self {
-        GeometricMechanism {
-            sensitivity,
-            epsilon,
-        }
-    }
-
-    /// The decay parameter `α = exp(-ε/s)`.
-    #[inline]
-    pub fn alpha(&self) -> f64 {
-        (-self.epsilon.value() / self.sensitivity.value()).exp()
-    }
-
-    /// Release a noisy integer.
-    pub fn release(&self, true_value: i64, rng: &mut DpRng) -> i64 {
-        true_value + self.sample_noise(rng)
-    }
-
-    /// Sample two-sided geometric noise by inverting the CDF.
-    pub fn sample_noise(&self, rng: &mut DpRng) -> i64 {
-        let alpha = self.alpha();
-        if alpha <= 0.0 {
-            return 0;
-        }
-        GEOMETRIC_DRAWS.add(1);
-        let u: f64 = rng.gen::<f64>(); // [0, 1)
-                                       // Symmetric construction: magnitude from a geometric tail, sign from
-                                       // the uniform's half. P(|X| >= k) = 2α^k/(1+α) for k >= 1.
-        let (sign, v) = if u < 0.5 {
-            (-1.0, u * 2.0)
-        } else {
-            (1.0, (u - 0.5) * 2.0)
-        };
-        // v ~ Uniform[0,1). P(|X| = 0 | sign branch) = (1-α)/(1+α) ... but the
-        // zero mass is shared, so include it in both branches at half weight:
-        // magnitude k satisfies v >= tail(k+1)/norm.
-        let norm = 1.0 + alpha;
-        let mut k = 0i64;
-        let mut tail = 2.0 * alpha / norm; // P(|X| >= 1)
-        let residual = 1.0 - v; // in (0, 1]
-        while residual <= tail && k < 1_000_000 {
-            k += 1;
-            tail *= alpha;
-        }
-        (sign * k as f64) as i64
-    }
-}
-
 #[cfg(test)]
 // Exact float assertions in these tests are deliberate (bitwise-reproducible
 // quantities); float_cmp stays deny in library code.
@@ -234,36 +171,5 @@ mod tests {
         let (mean, var) = stats(&xs);
         assert!(mean.abs() < 0.05);
         assert!((var - 2.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn geometric_mean_zero_and_symmetric() {
-        let g = GeometricMechanism::new(Sensitivity::new(1.0), Epsilon::new(0.5));
-        let mut rng = DpRng::seed_from_u64(4);
-        let n = 100_000;
-        let samples: Vec<i64> = (0..n).map(|_| g.sample_noise(&mut rng)).collect();
-        let mean = samples.iter().sum::<i64>() as f64 / n as f64;
-        assert!(mean.abs() < 0.1, "mean {mean}");
-        // Variance of two-sided geometric is 2α/(1-α)². α = e^{-1/2} ≈ 0.6065
-        let alpha: f64 = (-0.5f64).exp();
-        let expect_var = 2.0 * alpha / ((1.0 - alpha) * (1.0 - alpha));
-        let var = samples
-            .iter()
-            .map(|&x| (x as f64 - mean).powi(2))
-            .sum::<f64>()
-            / n as f64;
-        assert!(
-            (var - expect_var).abs() / expect_var < 0.1,
-            "var {var} expect {expect_var}"
-        );
-    }
-
-    #[test]
-    fn geometric_release_shifts_truth() {
-        let g = GeometricMechanism::new(Sensitivity::new(1.0), Epsilon::new(5.0));
-        let mut rng = DpRng::seed_from_u64(5);
-        let n = 20_000;
-        let mean = (0..n).map(|_| g.release(100, &mut rng)).sum::<i64>() as f64 / n as f64;
-        assert!((mean - 100.0).abs() < 0.5, "mean {mean}");
     }
 }

@@ -33,7 +33,8 @@
 //! astronomically small, while a mis-calibrated scale (off by 2× with a few
 //! hundred draws) fails by a wide margin. Scales with fewer than
 //! [`MIN_SAMPLES`] *distinct* draws are skipped (verdict stays `Unchecked`
-//! if nothing qualifies); geometric-mechanism entries are not checked.
+//! if nothing qualifies); entries not attributed to the Laplace mechanism
+//! (`SpendInfo::unattributed`) are not checked.
 //! The audit fails closed on `Inconsistent` *before* publishing the
 //! ledger, so published verdicts are only ever `Consistent`/`Unchecked`.
 

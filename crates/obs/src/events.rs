@@ -121,9 +121,12 @@ pub(crate) fn record(phase: EventPhase, name: &'static str, path: &str) {
     buf.push(event);
 }
 
-/// All recorded events in recording order.
-pub fn snapshot() -> Vec<TraceEvent> {
-    buffer().clone()
+/// Run `f` over the recorded events, in recording order, while holding the
+/// buffer lock — exporters read the ring in place instead of copying it.
+/// Span recording on other threads waits until `f` returns, and `f` itself
+/// must not record spans.
+pub(crate) fn with_events<R>(f: impl FnOnce(&[TraceEvent]) -> R) -> R {
+    f(&buffer())
 }
 
 /// Number of events in the buffer, without copying them.
@@ -159,7 +162,7 @@ mod tests {
             let _b = crate::span!("ev_inner");
         }
         crate::set_events_enabled(false);
-        let events = snapshot();
+        let events = with_events(<[TraceEvent]>::to_vec);
         assert_eq!(recorded(), 4);
         reset();
         assert_eq!(events.len(), 4);
@@ -190,7 +193,7 @@ mod tests {
             .join()
             .expect("join");
         crate::set_events_enabled(false);
-        let events = snapshot();
+        let events = with_events(<[TraceEvent]>::to_vec);
         reset();
         let tid = events
             .iter()
@@ -214,7 +217,7 @@ mod tests {
         {
             let _a = crate::span!("ev_ghost");
         }
-        assert!(snapshot().is_empty());
+        assert_eq!(recorded(), 0);
         assert_eq!(dropped(), 0);
     }
 }

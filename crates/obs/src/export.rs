@@ -271,7 +271,19 @@ pub fn telemetry_json(run: &str) -> String {
 ///   nested; the number of dropped events is reported in
 ///   `otherData.dropped_events`.
 pub fn chrome_trace_json(run: &str) -> String {
-    let events = crate::events::snapshot();
+    // Read the names before taking the ring lock, so no one holds both:
+    // recording takes them one after the other, names first.
+    let names: std::collections::HashMap<u64, String> =
+        crate::events::thread_names().into_iter().collect();
+    crate::events::with_events(|events| render_chrome_trace(run, events, &names))
+}
+
+/// [`chrome_trace_json`]'s body, over the event ring read in place.
+fn render_chrome_trace(
+    run: &str,
+    events: &[crate::events::TraceEvent],
+    names: &std::collections::HashMap<u64, String>,
+) -> String {
     let dropped = crate::events::dropped();
 
     let mut out = String::with_capacity(events.len() * 96 + 256);
@@ -297,8 +309,6 @@ pub fn chrome_trace_json(run: &str) -> String {
     // One thread_name metadata record per track, using the OS thread name
     // where one was recorded (the pool's `stpt-worker-N` threads) so the
     // fan-out is legible in the timeline.
-    let names: std::collections::HashMap<u64, String> =
-        crate::events::thread_names().into_iter().collect();
     let mut tids: Vec<u64> = events.iter().map(|e| e.tid).collect();
     tids.sort_unstable();
     tids.dedup();
@@ -323,7 +333,7 @@ pub fn chrome_trace_json(run: &str) -> String {
         std::collections::HashMap::new();
     let mut last_ts: std::collections::HashMap<u64, u128> = std::collections::HashMap::new();
 
-    for e in &events {
+    for e in events {
         let ts_us = e.ts_ns as f64 / 1e3;
         last_ts
             .entry(e.tid)

@@ -48,7 +48,6 @@ pub mod resources;
 pub mod timeseries;
 pub mod trace;
 
-pub use events::{EventPhase, TraceEvent};
 pub use ledger::{Composition, LedgerCheck, LedgerEntry, PostProcessProof};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use noise::NoiseStatus;

@@ -12,14 +12,12 @@
 //! the projection provably does not increase the aggregate absolute error
 //! of the release (see [`project_hierarchy`]).
 //!
-//! The crate is deliberately a *leaf*: it depends only on the data model
-//! and the observability layer, draws no randomness, and spends no budget.
-//! `cargo xtask lint` enforces that structurally (rule XT09 flags any path
-//! from this crate to a noise sampler), and the `stpt-dp` accountant proves
-//! it per release at runtime (a [`PostProcessProof`] ledger record that the
-//! auditor replays and fails closed on).
-//!
-//! [`PostProcessProof`]: stpt_obs::PostProcessProof
+//! The crate is deliberately a *leaf*: it depends only on the data model,
+//! draws no randomness, and spends no budget. `cargo xtask lint` enforces
+//! that structurally (rule XT09 flags any path from this crate to a noise
+//! sampler), and the `stpt-dp` accountant proves it per release at runtime
+//! (a `PostProcessProof` ledger record that the auditor replays and fails
+//! closed on).
 
 #![forbid(unsafe_code)]
 

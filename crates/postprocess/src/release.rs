@@ -1,15 +1,13 @@
 //! The common `Release` value every mechanism's output flows through.
 //!
-//! A [`Release`] bundles the sanitized data with everything needed to
-//! audit it after the fact: the budget trail (`LedgerEntry` list and total
-//! spend), the auditor's verdict when the producing path was audited, and
-//! the optional [`PostProcessRecord`] when the consistency stage ran. The
-//! `ReleasePipeline` in `stpt-core` is the only producer of post-processed
-//! releases; mechanisms that bypass it publish [`ReleaseStage::Raw`].
+//! A [`Release`] bundles the sanitized data with its provenance: the
+//! producing mechanism, whether the consistency stage ran, and — when it
+//! did — its [`PostProcessRecord`]. Mechanisms produce
+//! [`ReleaseStage::Raw`] releases; `stpt_core::postprocess` is the only
+//! step that turns one into a post-processed release.
 
 use crate::project::PostProcessRecord;
 use stpt_data::ConsumptionMatrix;
-use stpt_obs::{LedgerCheck, LedgerEntry};
 
 /// Ledger stage label under which the consistency projection is proven
 /// ε-free (`PostProcessProof.stage`).
@@ -36,7 +34,7 @@ impl ReleaseStage {
     }
 }
 
-/// A sanitized release with its provenance and audit trail.
+/// A sanitized release with its provenance.
 #[derive(Debug, Clone)]
 pub struct Release {
     /// Name of the producing mechanism (e.g. `"STPT"`, `"Identity"`).
@@ -45,28 +43,18 @@ pub struct Release {
     pub stage: ReleaseStage,
     /// The released consumption matrix.
     pub data: ConsumptionMatrix,
-    /// Budget spends that produced `data`, in spend order.
-    pub ledger: Vec<LedgerEntry>,
-    /// Total ε spent across `ledger`.
-    pub epsilon_spent: f64,
-    /// Auditor verdict, present when the producing path ran a full audit.
-    pub audit: Option<LedgerCheck>,
     /// Evidence of the consistency projection, present iff
     /// `stage == ReleaseStage::PostProcessed`.
     pub post: Option<PostProcessRecord>,
 }
 
 impl Release {
-    /// A raw release with no ledger trail — the shape mechanisms outside
-    /// the audited pipeline produce before the pipeline decorates it.
+    /// A raw release, straight out of a mechanism.
     pub fn raw(mechanism: impl Into<String>, data: ConsumptionMatrix) -> Release {
         Release {
             mechanism: mechanism.into(),
             stage: ReleaseStage::Raw,
             data,
-            ledger: Vec::new(),
-            epsilon_spent: 0.0,
-            audit: None,
             post: None,
         }
     }
@@ -81,10 +69,7 @@ mod tests {
         let r = Release::raw("Identity", ConsumptionMatrix::zeros(1, 1, 2));
         assert_eq!(r.stage, ReleaseStage::Raw);
         assert_eq!(r.stage.label(), "raw");
-        assert!(r.ledger.is_empty());
-        assert!(r.audit.is_none());
         assert!(r.post.is_none());
-        assert!(r.epsilon_spent.to_bits() == 0.0f64.to_bits());
     }
 
     #[test]

@@ -102,9 +102,9 @@ impl ReleaseSpec {
         Ok(spec)
     }
 
-    /// Sanitize the release this spec describes: generate the dataset,
-    /// run STPT (audited), build the prefix-sum table, and resume the
-    /// audit ledger for serving.
+    /// Build the release this spec describes: generate the dataset, run
+    /// STPT (audited), build the prefix-sum table, and resume the audit
+    /// ledger for serving.
     pub fn build(&self) -> Result<CachedRelease, ServeError> {
         let spec = self.validate()?;
         let mut rng = StdRng::seed_from_u64(self.seed ^ hash_name(spec.name));

@@ -12,8 +12,7 @@
 
 use std::collections::HashMap;
 
-use crate::lexer::TokenKind;
-use crate::rules::SourceFile;
+use crate::rules::{ident_at, punct_at, SourceFile};
 use crate::syntax::ItemTree;
 
 /// Method/function names that record a budget spend on the accountant.
@@ -162,20 +161,6 @@ pub fn build(files: &[SourceFile], trees: &[ItemTree]) -> CallGraph {
         }
     }
     graph
-}
-
-fn ident_at(file: &SourceFile, i: usize) -> Option<&str> {
-    match file.lexed.tokens.get(i).map(|t| &t.kind) {
-        Some(TokenKind::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn punct_at(file: &SourceFile, i: usize) -> Option<char> {
-    match file.lexed.tokens.get(i).map(|t| &t.kind) {
-        Some(TokenKind::Punct(c)) => Some(*c),
-        _ => None,
-    }
 }
 
 /// A raw draw performed directly on a receiver: `.gen`, `.sample_noise`, …

@@ -84,6 +84,22 @@ impl SourceFile {
     }
 }
 
+/// The identifier at token `i` of `file`, if that token is one.
+pub(crate) fn ident_at(file: &SourceFile, i: usize) -> Option<&str> {
+    match file.lexed.tokens.get(i).map(|t| &t.kind) {
+        Some(TokenKind::Ident(s)) => Some(s.as_str()),
+        _ => None,
+    }
+}
+
+/// The punctuation character at token `i` of `file`, if that token is one.
+pub(crate) fn punct_at(file: &SourceFile, i: usize) -> Option<char> {
+    match file.lexed.tokens.get(i).map(|t| &t.kind) {
+        Some(TokenKind::Punct(c)) => Some(*c),
+        _ => None,
+    }
+}
+
 /// One `xtask-allow` directive with its observed effect over a lint run —
 /// the raw material for `cargo xtask lint --allows` and stale-allow
 /// detection.

@@ -19,7 +19,7 @@ use std::collections::{HashSet, VecDeque};
 
 use crate::callgraph::{self, is_draw_name, CallGraph};
 use crate::lexer::TokenKind;
-use crate::rules::{Diagnostic, FileRole, SourceFile};
+use crate::rules::{ident_at, punct_at, Diagnostic, FileRole, SourceFile};
 use crate::syntax::{self, receiver_root, Closure, ItemTree};
 
 /// Calls that *are* the parallel seam: a closure passed directly to one of
@@ -51,11 +51,6 @@ const XT09_ENTRIES: &[&str] = &[
     "sanitize",
 ];
 
-/// Qualified (`Type::method`) XT09 entry points — methods whose bare name
-/// is too generic to match on (`run` would pull in every `run` in the
-/// workspace).
-const XT09_QUALIFIED_ENTRIES: &[&str] = &["ReleasePipeline::run"];
-
 /// File prefix of the post-processing crate: code here transforms released
 /// (already-noisy) data and must be sampler-free *unconditionally* —
 /// Theorem 3's ε-freeness holds only for functions of the release, so even
@@ -85,20 +80,6 @@ pub fn check_workspace(files: &[SourceFile]) -> Vec<Diagnostic> {
     });
     diags.dedup();
     diags
-}
-
-fn ident_at(file: &SourceFile, i: usize) -> Option<&str> {
-    match file.lexed.tokens.get(i).map(|t| &t.kind) {
-        Some(TokenKind::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn punct_at(file: &SourceFile, i: usize) -> Option<char> {
-    match file.lexed.tokens.get(i).map(|t| &t.kind) {
-        Some(TokenKind::Punct(c)) => Some(*c),
-        _ => None,
-    }
 }
 
 // ---- XT08 --------------------------------------------------------------
@@ -385,10 +366,7 @@ fn xt09_budget_dominance(graph: &CallGraph, out: &mut Vec<Diagnostic>) {
         .nodes
         .iter()
         .enumerate()
-        .filter(|(_, n)| {
-            XT09_ENTRIES.contains(&n.name.as_str())
-                || XT09_QUALIFIED_ENTRIES.contains(&n.qualified.as_str())
-        })
+        .filter(|(_, n)| XT09_ENTRIES.contains(&n.name.as_str()))
         .map(|(i, _)| i)
         .collect();
 
@@ -725,32 +703,6 @@ mod tests {
             ),
         ]);
         assert_eq!(rules_of(&diags), vec!["XT09"], "{diags:?}");
-    }
-
-    #[test]
-    fn xt09_qualified_entry_covers_pipeline_run() {
-        // `run` is too generic for the bare-name entry list; the qualified
-        // entry must still treat `ReleasePipeline::run` as release surface.
-        let diags = check(&[
-            (
-                "crates/core/src/pipeline.rs",
-                "impl ReleasePipeline {
-                     pub fn run(&self, rng: &mut DpRng) -> f64 { laplace_sample(1.0, rng) }
-                 }",
-            ),
-            (
-                "crates/dp/src/mechanism.rs",
-                "pub fn laplace_sample(scale: f64, rng: &mut DpRng) -> f64 { rng.gen::<f64>() * scale }",
-            ),
-        ]);
-        assert_eq!(rules_of(&diags), vec!["XT09"], "{diags:?}");
-        assert!(
-            diags[0]
-                .message
-                .contains("ReleasePipeline::run -> laplace_sample"),
-            "{}",
-            diags[0].message
-        );
     }
 
     #[test]

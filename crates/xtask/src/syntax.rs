@@ -18,7 +18,7 @@
 use std::collections::HashSet;
 
 use crate::lexer::TokenKind;
-use crate::rules::SourceFile;
+use crate::rules::{ident_at, punct_at, SourceFile};
 
 /// One `fn` item.
 #[derive(Debug, Clone)]
@@ -92,20 +92,6 @@ impl ItemTree {
                 let (s, e) = f.body.unwrap_or((0, usize::MAX));
                 e - s
             })
-    }
-}
-
-fn ident_at(file: &SourceFile, i: usize) -> Option<&str> {
-    match file.lexed.tokens.get(i).map(|t| &t.kind) {
-        Some(TokenKind::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn punct_at(file: &SourceFile, i: usize) -> Option<char> {
-    match file.lexed.tokens.get(i).map(|t| &t.kind) {
-        Some(TokenKind::Punct(c)) => Some(*c),
-        _ => None,
     }
 }
 

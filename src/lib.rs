@@ -4,8 +4,8 @@
 //!
 //! The workspace is organised as:
 //!
-//! * [`dp`] (`stpt-dp`) — DP primitives: Laplace/geometric mechanisms,
-//!   budget accounting with enforced sequential/parallel composition.
+//! * [`dp`] (`stpt-dp`) — DP primitives: the Laplace mechanism, budget
+//!   accounting with enforced sequential/parallel composition.
 //! * [`nn`] (`stpt-nn`) — a from-scratch neural-network library (RNN, GRU,
 //!   LSTM, self-attention, transformer) with manual backprop.
 //! * [`data`] (`stpt-data`) — the 3-D consumption matrix and synthetic
