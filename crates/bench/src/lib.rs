@@ -127,8 +127,8 @@ impl Spread {
     }
 }
 
-/// One generated evaluation instance: the true (unclipped) matrix queries
-/// are answered against, and the clipped matrix mechanisms consume.
+/// One generated evaluation instance: the clipped matrix that mechanisms
+/// consume and that queries are answered against.
 pub struct Instance {
     /// Dataset spec used.
     pub spec: DatasetSpec,
@@ -136,14 +136,12 @@ pub struct Instance {
     pub clip: f64,
     /// Spatial distribution used.
     pub distribution: SpatialDistribution,
-    /// Accuracy reference: the clipped matrix. Table 2's sensitivity
-    /// clipping factor *defines* the released dataset (every mechanism
-    /// consumes clipped readings), so utility is measured against it —
-    /// otherwise all mechanisms share an irreducible clipping bias that
-    /// masks their differences.
+    /// The clipped matrix: every mechanism's input and the accuracy
+    /// reference. Table 2's sensitivity clipping factor *defines* the
+    /// released dataset (every mechanism consumes clipped readings), so
+    /// utility is measured against it — otherwise all mechanisms share an
+    /// irreducible clipping bias that masks their differences.
     pub truth: ConsumptionMatrix,
-    /// Clipped matrix (mechanism input, identical to `truth`).
-    pub clipped: ConsumptionMatrix,
     /// Prefix-sum table over `truth`, built once per instance: every
     /// [`mre_of`] call reuses it instead of rebuilding the O(cells) table
     /// per evaluated release.
@@ -164,8 +162,7 @@ pub fn make_instance(
     // The paper's evaluation releases T = 220 points at day granularity
     // (Section 3.1, Appendix C).
     let ds = Dataset::generate_at(spec, dist, Granularity::Daily, env.hours, &mut rng);
-    let clipped = ds.consumption_matrix(env.grid, env.grid, true);
-    let truth = clipped.clone();
+    let truth = ds.consumption_matrix(env.grid, env.grid, true);
     let truth_ps = PrefixSum3D::new(&truth);
     let rho = default_rho(&truth);
     Instance {
@@ -173,7 +170,6 @@ pub fn make_instance(
         clip: ds.clip_bound(),
         distribution: dist,
         truth,
-        clipped,
         truth_ps,
         rho,
     }
@@ -230,7 +226,7 @@ pub fn run_baseline(
 ) -> (Release, f64) {
     let mut rng = DpRng::seed_from_u64(run_seed(hash_name(&mech.name()), rep));
     let start = Instant::now();
-    let mut release = mech.raw_release(&inst.clipped, inst.clip, eps_total, &mut rng);
+    let mut release = mech.raw_release(&inst.truth, inst.clip, eps_total, &mut rng);
     if env.pp {
         let mut accountant = BudgetAccountant::new(Epsilon::new(eps_total));
         release.post = Some(postprocess(&mut accountant, &mut release.data, None));
@@ -262,7 +258,7 @@ pub fn stpt_config(env: &ExperimentEnv, spec: &DatasetSpec, rep: u64) -> StptCon
 /// budget fractions are inconsistent with its total.
 pub fn run_stpt_timed(inst: &Instance, cfg: &StptConfig) -> Result<(StptOutput, f64), DpError> {
     let start = Instant::now();
-    let out = run_stpt(&inst.clipped, cfg)?;
+    let out = run_stpt(&inst.truth, cfg)?;
     Ok((out, start.elapsed().as_secs_f64()))
 }
 
@@ -416,7 +412,7 @@ mod tests {
         spec.households = 50;
         let inst = make_instance(&small_env(), spec, SpatialDistribution::Uniform, 0);
         let mut rng = DpRng::seed_from_u64(run_seed(hash_name("Identity"), 0));
-        let raw = Identity.raw_release(&inst.clipped, inst.clip, eps, &mut rng);
+        let raw = Identity.raw_release(&inst.truth, inst.clip, eps, &mut rng);
         // Noise must push some cells negative, or the projection below
         // would have nothing to do.
         assert!(raw.data.data().iter().any(|&v| v < 0.0));

@@ -36,8 +36,6 @@ use stpt_postprocess::{
 /// hierarchy gave strictly worse MRE at every ε than the flat one).
 #[derive(Debug, Clone)]
 pub struct GroupedRelease {
-    /// Spatial-tile group of each partition (disjoint-sibling structure).
-    pub groups: Vec<usize>,
     /// Flat cell indices of each partition.
     pub cells: Vec<Vec<usize>>,
     /// Released noisy sum of each partition.
@@ -48,7 +46,6 @@ impl GroupedRelease {
     /// Capture the partition structure of a finished sanitisation step.
     pub fn from_partitions(partitions: &[Partition], releases: &[PartitionRelease]) -> Self {
         GroupedRelease {
-            groups: partitions.iter().map(|p| p.group).collect(),
             cells: partitions.iter().map(|p| p.cells.clone()).collect(),
             sums: releases.iter().map(|r| r.noisy_sum).collect(),
         }
@@ -116,8 +113,8 @@ mod tests {
 
     #[test]
     fn grouped_projection_respreads_uniformly() {
-        // Two partitions: first half of the cells and second half, in one
-        // tile group; one sum is negative.
+        // Two partitions: first half of the cells and second half; one sum
+        // is negative.
         let mut data = noisy_matrix();
         let n = data.len();
         let cells: Vec<Vec<usize>> = vec![(0..n / 2).collect(), (n / 2..n).collect()];
@@ -127,11 +124,7 @@ mod tests {
                 data.data_mut()[cell] = sum / cell_set.len() as f64;
             }
         }
-        let grouped = GroupedRelease {
-            groups: vec![0, 0],
-            cells,
-            sums,
-        };
+        let grouped = GroupedRelease { cells, sums };
 
         let mut acc = BudgetAccountant::new(Epsilon::new(5.0));
         postprocess(&mut acc, &mut data, Some(&grouped));

@@ -142,7 +142,8 @@ pub struct StptOutput {
 /// Runs pattern recognition, k-quantisation and partition sanitisation on
 /// one accountant and one noise stream seeded from `config.seed`, then the
 /// optional consistency stage ([`postprocess`]), and fails closed unless
-/// the ledger audit replays to ε_tot.
+/// the ledger audit replays to ε_tot (and, under `STPT_TRACE`, unless the
+/// release's own noise draws match the ledger's scales).
 pub fn run_stpt(
     c_cons_clipped: &ConsumptionMatrix,
     config: &StptConfig,
@@ -150,6 +151,9 @@ pub fn run_stpt(
     let _stpt_span = stpt_obs::phase_span!("stpt");
     let mut accountant = BudgetAccountant::new(Epsilon::new(config.eps_total()));
     let mut rng = DpRng::seed_from_u64(config.seed);
+    // Under STPT_TRACE the audit judges this release's own noise draws; the
+    // guard closes the log on every exit path.
+    let _draws = stpt_dp::noisecheck::open_log();
 
     // Normalise by the public clip bound: each *user reading* maps into
     // [0, 1], so a cell (a sum of readings, one per user) has sensitivity 1

@@ -441,15 +441,18 @@ impl BudgetAccountant {
     ///    accountant's enforcement tolerance (`1e-9 · max(ε_tot, 1)` —
     ///    budget *allocation* splits ε_tot with ordinary float arithmetic,
     ///    so demanding bit-exactness against the configured total would
-    ///    reject correct runs).
+    ///    reject correct runs), and
+    /// 3. the draws in this thread's open draw log (taken and closed here)
+    ///    pass the statistical noise self-check against the ledger's
+    ///    scales ([`crate::noisecheck`]).
     ///
     /// On success the [`LedgerCheck`] and the post-processing proofs are
     /// published to `stpt-obs` for telemetry export (a no-op unless
     /// `STPT_TRACE` is on) and the check is returned. On failure returns
     /// [`DpError::AuditFailed`] — a failed audit means the ledger and the
     /// accountant disagree, i.e. some spend bypassed the ledger or the
-    /// composition arithmetic is broken, and the release must not be
-    /// trusted.
+    /// composition arithmetic is broken, or the drawn noise does not match
+    /// the ledger, and the release must not be trusted.
     pub fn audit(&self, expected_total: f64) -> Result<LedgerCheck, DpError> {
         let mut sequential: BTreeMap<String, f64> = BTreeMap::new();
         let mut parallel: BTreeMap<String, BTreeMap<String, f64>> = BTreeMap::new();
@@ -488,11 +491,14 @@ impl BudgetAccountant {
             && nested_maps_bit_equal(&parallel, &self.parallel);
         let tol = 1e-9 * self.total.value().max(1.0);
         let total_matches = (replayed - expected_total).abs() <= tol;
-        // Statistical noise self-check: with debug tracing on, the draws
-        // recorded for each ledger scale must look like the calibrated
-        // Laplace(b) (see `crate::noisecheck`). `Unchecked` when tracing is
-        // off or samples are too few — never a pass masquerading.
-        let (noise_status, noise_findings) = crate::noisecheck::verify_ledger_noise(&self.ledger);
+        // Statistical noise self-check: the release's own draws, logged
+        // since its `noisecheck::open_log`, must sit at ledger scales and
+        // look like the calibrated Laplace(b) (see `crate::noisecheck`).
+        // `Unchecked` when no log was open or samples are too few — never
+        // a pass masquerading.
+        let draws = crate::noisecheck::take_log();
+        let (noise_status, noise_findings) =
+            crate::noisecheck::verify_ledger_noise(&self.ledger, &draws);
         let check = LedgerCheck {
             total: expected_total,
             replayed,

@@ -37,9 +37,11 @@ pub fn laplace_sample(scale: f64, rng: &mut DpRng) -> f64 {
     // gen::<f64>() is in [0, 1); shift to (-1/2, 1/2].
     let u: f64 = 0.5 - rng.gen::<f64>();
     let x = -scale * u.signum() * (1.0 - 2.0 * u.abs()).ln();
-    // Debug-only (STPT_TRACE-gated) moment accumulator feeding the audit's
+    // Debug-only (STPT_TRACE-gated) draw log feeding the audit's
     // statistical noise self-check; never serialised, never in envelopes.
-    stpt_obs::noise::record_laplace(scale, x);
+    if stpt_obs::enabled() {
+        crate::noisecheck::record(scale, x);
+    }
     x
 }
 

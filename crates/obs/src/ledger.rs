@@ -6,7 +6,9 @@
 //! composition theorems). The accountant owns the ledger, and the release
 //! carries it; this module only *publishes* the audit's [`LedgerCheck`]
 //! and post-processing proofs so the telemetry document can carry the
-//! verified composition argument.
+//! verified composition argument. The check's [`NoiseStatus`] is the
+//! verdict `stpt-dp` reaches on each release's own noise draws; the draws
+//! themselves never reach this crate.
 //!
 //! Publication is gated by the global `STPT_TRACE` switch like everything
 //! else in this crate — but the *recording and checking* in `stpt-dp` is
@@ -61,6 +63,34 @@ pub struct PostProcessProof {
     pub ledger_at: usize,
 }
 
+/// Verdict of the statistical noise self-check (`stpt_dp::noisecheck`),
+/// carried by [`LedgerCheck::noise`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum NoiseStatus {
+    /// No verdict: tracing was off, or the release drew too few times at
+    /// every scale to test.
+    #[default]
+    Unchecked,
+    /// Every scale the release drew at is claimed by its ledger, and every
+    /// sufficiently-sampled one matched its calibrated Laplace(b).
+    Consistent,
+    /// Some draws sit at a scale the ledger does not claim, or are
+    /// statistically incompatible with the distribution it claims — the
+    /// audit fails closed.
+    Inconsistent,
+}
+
+impl NoiseStatus {
+    /// Stable lowercase label used in telemetry JSON and regress output.
+    pub fn label(self) -> &'static str {
+        match self {
+            NoiseStatus::Unchecked => "unchecked",
+            NoiseStatus::Consistent => "consistent",
+            NoiseStatus::Inconsistent => "inconsistent",
+        }
+    }
+}
+
 /// Result of replaying a ledger against the accountant's live state.
 #[derive(Debug, Clone, Copy)]
 pub struct LedgerCheck {
@@ -78,10 +108,11 @@ pub struct LedgerCheck {
     /// Whether the replay matched the live accountant bit-exactly and the
     /// total within tolerance.
     pub consistent: bool,
-    /// Verdict of the statistical noise self-check (empirical draw moments
-    /// and KS distance vs. the calibrated Laplace per ledger scale).
-    /// `Unchecked` unless debug tracing recorded enough draws.
-    pub noise: crate::NoiseStatus,
+    /// Verdict of the statistical noise self-check on the release's own
+    /// draws (their scales, empirical moments and KS distance vs. the
+    /// calibrated Laplace per ledger scale). `Unchecked` unless debug
+    /// tracing logged enough draws.
+    pub noise: NoiseStatus,
 }
 
 /// Deterministically merged state over every publication of the process
@@ -205,7 +236,15 @@ pub fn reset() {
 mod tests {
     use super::*;
 
-    fn check(eps: f64, ok: bool, noise: crate::NoiseStatus) -> LedgerCheck {
+    #[test]
+    fn status_labels_are_stable() {
+        assert_eq!(NoiseStatus::Unchecked.label(), "unchecked");
+        assert_eq!(NoiseStatus::Consistent.label(), "consistent");
+        assert_eq!(NoiseStatus::Inconsistent.label(), "inconsistent");
+        assert_eq!(NoiseStatus::default(), NoiseStatus::Unchecked);
+    }
+
+    fn check(eps: f64, ok: bool, noise: NoiseStatus) -> LedgerCheck {
         LedgerCheck {
             total: eps,
             replayed: eps,
@@ -222,7 +261,7 @@ mod tests {
         let _lock = crate::test_lock();
         crate::set_enabled(false);
         reset();
-        publish_ledger(&[], check(1.0, true, crate::NoiseStatus::Unchecked));
+        publish_ledger(&[], check(1.0, true, NoiseStatus::Unchecked));
         assert!(ledger_snapshot().is_none());
 
         crate::set_enabled(true);
@@ -240,7 +279,7 @@ mod tests {
                 entries: 2,
                 postprocess_stages: 1,
                 consistent: true,
-                noise: crate::NoiseStatus::Unchecked,
+                noise: NoiseStatus::Unchecked,
             },
         );
         crate::set_enabled(false);
@@ -273,7 +312,7 @@ mod tests {
 
         // Same canonical run either way, and one bad run poisons the
         // merged verdict.
-        let unchecked = crate::NoiseStatus::Unchecked;
+        let unchecked = NoiseStatus::Unchecked;
         let [forward, reversed] =
             both_orders(check(0.25, true, unchecked), check(0.5, false, unchecked));
         assert_eq!(forward, reversed);
@@ -282,7 +321,7 @@ mod tests {
 
         // Two runs equal on every exported field but the noise verdict
         // still export one document whichever is published first.
-        let consistent = crate::NoiseStatus::Consistent;
+        let consistent = NoiseStatus::Consistent;
         let [forward, reversed] =
             both_orders(check(0.5, true, consistent), check(0.5, true, unchecked));
         assert_eq!(forward, reversed);

@@ -12,7 +12,8 @@
 //! * [`ledger`] — the privacy-budget audit ledger: `stpt-dp`'s
 //!   `BudgetAccountant` appends one [`LedgerEntry`] per spend and publishes
 //!   the replay check here, so telemetry exports carry the runtime-verified
-//!   composition argument.
+//!   composition argument and the [`NoiseStatus`] label of the noise
+//!   self-check that `stpt-dp` runs on each release's own draws.
 //!
 //! Recording is gated by three plain atomics — [`enabled`] (`STPT_TRACE`),
 //! [`events_enabled`] (`STPT_TRACE_EVENTS`) and [`live_enabled`]
@@ -42,15 +43,13 @@ pub mod export;
 pub mod httpd;
 pub mod ledger;
 pub mod metrics;
-pub mod noise;
 pub mod prometheus;
 pub mod resources;
 pub mod timeseries;
 pub mod trace;
 
-pub use ledger::{Composition, LedgerCheck, LedgerEntry, PostProcessProof};
+pub use ledger::{Composition, LedgerCheck, LedgerEntry, NoiseStatus, PostProcessProof};
 pub use metrics::{Counter, Gauge, Histogram};
-pub use noise::NoiseStatus;
 pub use trace::SpanGuard;
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -147,9 +146,8 @@ pub fn init_from_env() {
 }
 
 /// Clear all collected state (spans, metric values, ledger, span events,
-/// noise moments, sampler bookkeeping) without touching the gates. Metric
-/// *registrations* survive — statics stay registered; their values reset
-/// to zero.
+/// sampler bookkeeping) without touching the gates. Metric *registrations*
+/// survive — statics stay registered; their values reset to zero.
 ///
 /// Integration tests share one process (and therefore one set of statics);
 /// any test that snapshots telemetry, or asserts on ledger/metric contents,
@@ -160,7 +158,6 @@ pub fn reset() {
     metrics::reset();
     ledger::reset();
     events::reset();
-    noise::reset();
     resources::reset();
 }
 

@@ -5,10 +5,10 @@
 //! are indices into the released value slice. Two builders cover the
 //! release shapes in this repository:
 //!
-//! * [`Hierarchy::two_level`] — partitioned releases (STPT): one leaf per
-//!   partition sum, grouped by the partition's spatial tile, under a single
-//!   root. This is the quadtree-partition structure `sanitize_partitions`
-//!   releases.
+//! * [`Hierarchy::flat`] — partitioned releases (STPT): one leaf per
+//!   partition sum, all directly under a single root. The partition sums
+//!   `sanitize_partitions` releases are the only independently measured
+//!   quantities, so no interior subtotal is constrained.
 //! * [`Hierarchy::grid`] — dense cell releases (the comparison baselines):
 //!   cells under their pillar, pillars under 2×2 spatial blocks coarsening
 //!   quadtree-style up to a single root.
@@ -30,41 +30,6 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Two-level hierarchy: leaf `i` sits under the group node identified
-    /// by `groups[i]`, and all groups sit under the root. Group ids may be
-    /// arbitrary; distinct ids become distinct siblings (in ascending id
-    /// order, so construction is deterministic).
-    pub fn two_level(groups: &[usize]) -> Hierarchy {
-        assert!(!groups.is_empty(), "hierarchy needs at least one leaf");
-        let mut ids: Vec<usize> = groups.to_vec();
-        ids.sort_unstable();
-        ids.dedup();
-
-        let mut children: Vec<Vec<usize>> = Vec::with_capacity(groups.len() + ids.len() + 1);
-        let mut leaf_of: Vec<Option<usize>> = Vec::with_capacity(groups.len() + ids.len() + 1);
-        // Leaves first (node id = leaf index).
-        for i in 0..groups.len() {
-            children.push(Vec::new());
-            leaf_of.push(Some(i));
-        }
-        // One node per distinct group, children in leaf order.
-        let mut group_nodes = Vec::with_capacity(ids.len());
-        for gid in &ids {
-            let kids: Vec<usize> = (0..groups.len()).filter(|&i| groups[i] == *gid).collect();
-            children.push(kids);
-            leaf_of.push(None);
-            group_nodes.push(children.len() - 1);
-        }
-        // Root last.
-        children.push(group_nodes);
-        leaf_of.push(None);
-        Hierarchy {
-            children,
-            leaf_of,
-            n_leaves: groups.len(),
-        }
-    }
-
     /// Flat hierarchy: every leaf directly under the root. The binding
     /// constraints are non-negativity and root-total preservation only —
     /// the right shape when the leaves are the *only* independently
@@ -197,25 +162,6 @@ mod tests {
             .filter(|&n| h.leaf_index(n).is_some())
             .map(|n| depth[n])
             .collect()
-    }
-
-    #[test]
-    fn two_level_structure() {
-        let h = Hierarchy::two_level(&[7, 3, 7, 3, 3]);
-        assert_eq!(h.n_leaves(), 5);
-        // 5 leaves + 2 groups + root.
-        assert_eq!(h.n_nodes(), 8);
-        let root = h.root();
-        assert_eq!(h.children_of(root).len(), 2);
-        // Group 3 (first in ascending id order) holds leaves 1, 3, 4.
-        let g3 = h.children_of(root)[0];
-        let kids: Vec<usize> = h
-            .children_of(g3)
-            .iter()
-            .map(|&c| h.leaf_index(c).unwrap())
-            .collect();
-        assert_eq!(kids, vec![1, 3, 4]);
-        assert_eq!(depth_of_leaves(&h), vec![2; 5]);
     }
 
     #[test]

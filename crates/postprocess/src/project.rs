@@ -236,7 +236,7 @@ mod tests {
 
     #[test]
     fn negative_values_are_clamped_and_consistent() {
-        let h = Hierarchy::two_level(&[0, 0, 1, 1]);
+        let h = Hierarchy::flat(4);
         let mut v = [-2.0, 5.0, 1.0, -0.5];
         let rec = project_hierarchy(&h, &mut v);
         assert!(v.iter().all(|&x| x >= 0.0));
@@ -248,7 +248,7 @@ mod tests {
 
     #[test]
     fn already_feasible_input_is_untouched() {
-        let h = Hierarchy::two_level(&[0, 1, 1]);
+        let h = Hierarchy::flat(3);
         let mut v = [1.5, 2.0, 0.25];
         let before = v;
         let rec = project_hierarchy(&h, &mut v);
@@ -314,23 +314,20 @@ mod tests {
         }
     }
 
-    /// A random uniform-depth hierarchy — a multi-level grid tree, the
-    /// two-level partition shape, or the flat root-only shape. Uniform
-    /// leaf depth holds by construction for all three, which the
-    /// L1-contraction property needs.
+    /// A random uniform-depth hierarchy — a multi-level grid tree with
+    /// variable fan-out, or the flat root-only partition shape. Uniform
+    /// leaf depth holds by construction for both, which the L1-contraction
+    /// property needs.
     fn arb_hierarchy() -> impl Strategy<Value = Hierarchy> {
-        (
-            0u8..3,
-            1usize..4,
-            1usize..4,
-            1usize..5,
-            prop::collection::vec(0usize..4, 1..24),
+        (any::<bool>(), 1usize..4, 1usize..4, 1usize..5, 1usize..24).prop_map(
+            |(grid, x, y, t, leaves)| {
+                if grid {
+                    Hierarchy::grid(x, y, t)
+                } else {
+                    Hierarchy::flat(leaves)
+                }
+            },
         )
-            .prop_map(|(kind, x, y, t, groups)| match kind {
-                0 => Hierarchy::grid(x, y, t),
-                1 => Hierarchy::two_level(&groups),
-                _ => Hierarchy::flat(groups.len()),
-            })
     }
 
     proptest! {
